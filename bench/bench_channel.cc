@@ -21,17 +21,23 @@ namespace {
 
 using namespace noisybeeps;
 
+// One round per iteration through RoundEngine::RoundWords, 64 parties per
+// u64, one beeper.  Stream-compat is the mode every simulator runs; fast
+// mode batches the independent channel's sampling and is the mega-n
+// configuration -- its Args extend to 2^20 parties.
 template <typename ChannelT>
-void RoundLoop(benchmark::State& state, const ChannelT& channel) {
-  const int n = static_cast<int>(state.range(0));
+void RoundLoop(benchmark::State& state, const ChannelT& channel,
+               WordMode mode = WordMode::kStreamCompat) {
+  const std::int64_t n = state.range(0);
   Rng rng(1);
   RoundEngine engine(channel, rng, n);
-  std::vector<std::uint8_t> beeps(n, 0);
-  beeps[n / 2] = 1;
+  engine.SetWordMode(mode);
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
+  SetPackedBit(beeps, n / 2, true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Round(beeps));
+    benchmark::DoNotOptimize(engine.RoundWords(beeps));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * n);
 }
 
 void BM_RoundNoiseless(benchmark::State& state) {
@@ -52,41 +58,20 @@ BENCHMARK(BM_RoundOneSidedUp)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 void BM_RoundIndependent(benchmark::State& state) {
   RoundLoop(state, IndependentNoisyChannel(0.1));
 }
-BENCHMARK(BM_RoundIndependent)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_RoundIndependent)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(4096)
+    ->Arg(65536);
 
 void BM_RoundSharedRandomness(benchmark::State& state) {
   RoundLoop(state, SharedRandomnessOneSidedAdapter::PaperInstance());
 }
 BENCHMARK(BM_RoundSharedRandomness)->Arg(8)->Arg(64)->Arg(512);
 
-// The packed word path (this PR): one RoundWords call per iteration, 64
-// parties per u64.  Stream-compat still draws per listener (same stream
-// as the scalar path, amortized loop overhead); fast mode batches the
-// sampling and is the mega-n configuration -- its Args extend to 2^20
-// parties, which the scalar path cannot reach in benchmark time.
-template <typename ChannelT>
-void RoundWordsLoop(benchmark::State& state, const ChannelT& channel,
-                    WordMode mode) {
-  const std::int64_t n = state.range(0);
-  Rng rng(1);
-  RoundEngine engine(channel, rng, n);
-  engine.SetWordMode(mode);
-  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
-  beeps[beeps.size() / 2] = 1;  // one beeper, like the scalar loop
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.RoundWords(beeps));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-void BM_RoundWordsIndependentCompat(benchmark::State& state) {
-  RoundWordsLoop(state, IndependentNoisyChannel(0.1),
-                 WordMode::kStreamCompat);
-}
-BENCHMARK(BM_RoundWordsIndependentCompat)->Arg(512)->Arg(4096)->Arg(65536);
-
 void BM_RoundWordsIndependentFast(benchmark::State& state) {
-  RoundWordsLoop(state, IndependentNoisyChannel(0.1), WordMode::kFast);
+  RoundLoop(state, IndependentNoisyChannel(0.1), WordMode::kFast);
 }
 BENCHMARK(BM_RoundWordsIndependentFast)
     ->Arg(512)
@@ -98,7 +83,7 @@ BENCHMARK(BM_RoundWordsIndependentFast)
 void BM_RoundWordsIndependentFastSparse(benchmark::State& state) {
   // eps * 64 < 1: the geometric skip walk, the regime where round cost is
   // dominated by the O(eps * n) flips rather than the O(n / 64) words.
-  RoundWordsLoop(state, IndependentNoisyChannel(0.001), WordMode::kFast);
+  RoundLoop(state, IndependentNoisyChannel(0.001), WordMode::kFast);
 }
 BENCHMARK(BM_RoundWordsIndependentFastSparse)
     ->Arg(65536)
@@ -108,7 +93,7 @@ BENCHMARK(BM_RoundWordsIndependentFastSparse)
 void BM_RoundWordsCorrelatedFast(benchmark::State& state) {
   // Shared-draw word delivery: one draw then a word fill, so cost is pure
   // memory bandwidth at any n.
-  RoundWordsLoop(state, CorrelatedNoisyChannel(0.1), WordMode::kFast);
+  RoundLoop(state, CorrelatedNoisyChannel(0.1), WordMode::kFast);
 }
 BENCHMARK(BM_RoundWordsCorrelatedFast)->Arg(4096)->Arg(1048576);
 

@@ -29,20 +29,6 @@ bool AdversarialCorrectionChannel::SharedOutcome(std::int64_t num_beepers,
   return out;
 }
 
-void AdversarialCorrectionChannel::Deliver(std::int64_t num_beepers,
-                                           std::span<std::uint8_t> received,
-                                           Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void AdversarialCorrectionChannel::DeliverWords(
-    std::int64_t num_beepers, std::span<std::uint64_t> received,
-    std::int64_t num_parties, WordMode mode, Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // one draw per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
-}
-
 std::string AdversarialCorrectionChannel::name() const {
   const char* policy = "never";
   switch (policy_) {

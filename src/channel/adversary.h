@@ -31,28 +31,20 @@ enum class CorrectionPolicy {
   kCorrectAll,
 };
 
-class AdversarialCorrectionChannel final : public Channel {
+class AdversarialCorrectionChannel final : public SharedDrawChannel {
  public:
   // Precondition: 0 <= epsilon < 1/2.
   AdversarialCorrectionChannel(double epsilon, CorrectionPolicy policy);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // One draw per round: a flip, then maybe reverted for free.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] double epsilon() const { return epsilon_; }
   [[nodiscard]] CorrectionPolicy policy() const { return policy_; }
 
  private:
-  // One draw per round (flip, then maybe reverted for free), shared by
-  // both delivery paths: the modes coincide.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   double epsilon_;
   CorrectionPolicy policy_;
   BernoulliSampler noise_;

@@ -36,21 +36,6 @@ bool BurstNoisyChannel::SharedOutcome(std::int64_t num_beepers,
   return (num_beepers > 0) != noise.Sample(rng);
 }
 
-void BurstNoisyChannel::Deliver(std::int64_t num_beepers,
-                                std::span<std::uint8_t> received,
-                                Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void BurstNoisyChannel::DeliverWords(std::int64_t num_beepers,
-                                     std::span<std::uint64_t> received,
-                                     std::int64_t num_parties, WordMode mode,
-                                     Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // two draws per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
-}
-
 std::string BurstNoisyChannel::name() const {
   return "burst(good=" + FormatDouble(eps_good_) +
          ",bad=" + FormatDouble(eps_bad_) +

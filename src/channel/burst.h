@@ -24,19 +24,16 @@
 
 namespace noisybeeps {
 
-class BurstNoisyChannel final : public Channel {
+class BurstNoisyChannel final : public SharedDrawChannel {
  public:
   // Preconditions: rates in [0, 1); transition probabilities in (0, 1].
   BurstNoisyChannel(double eps_good, double eps_bad, double p_good_to_bad,
                     double p_bad_to_good);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // Transition draw then emission draw: two Samples per round, advancing
+  // the Markov state.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
 
   // The long-run average flip rate.
@@ -48,10 +45,6 @@ class BurstNoisyChannel final : public Channel {
   void Reset() const { in_bad_state_ = false; }
 
  private:
-  // Transition draw then emission draw -- two Samples per round on both
-  // delivery paths (the modes coincide), advancing the Markov state.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   double eps_good_;
   double eps_bad_;
   double p_gb_;

@@ -51,27 +51,23 @@ void Channel::CheckWordDelivery(std::int64_t num_beepers,
              "received word span does not match the party count");
 }
 
-void Channel::DeliverWords(std::int64_t num_beepers,
-                           std::span<std::uint64_t> received,
-                           std::int64_t num_parties, WordMode mode,
-                           Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // the scalar path has only one stream
-  // Compatibility fallback for channel implementations that predate the
-  // word path: round-trip through the scalar Deliver.  Allocates a byte
-  // per listener per call -- correct for wrappers and external channels,
-  // never the hot path (every built-in channel overrides DeliverWords).
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(num_parties), 0);
-  Deliver(num_beepers, bytes, rng);
-  PackBits(bytes, received);
+void Channel::Deliver(std::int64_t num_beepers,
+                      std::span<std::uint8_t> received, Rng& rng) const {
+  const auto num_parties = static_cast<std::int64_t>(received.size());
+  std::vector<std::uint64_t> words(WordsForParties(num_parties), 0);
+  CheckWordDelivery(num_beepers, words, num_parties);
+  DeliverWords(num_beepers, words, num_parties, WordMode::kStreamCompat,
+               rng);
+  UnpackBits(words, received);
 }
 
-bool Channel::DeliverShared(std::int64_t num_beepers, Rng& rng) const {
-  NB_REQUIRE(is_correlated(),
-             "DeliverShared is only meaningful for correlated channels");
-  std::uint8_t bit = 0;
-  Deliver(num_beepers, std::span<std::uint8_t>(&bit, 1), rng);
-  return bit != 0;
+void SharedDrawChannel::DeliverWords(std::int64_t num_beepers,
+                                     std::span<std::uint64_t> received,
+                                     std::int64_t num_parties, WordMode mode,
+                                     Rng& rng) const {
+  CheckWordDelivery(num_beepers, received, num_parties);
+  (void)mode;  // one outcome per round: the modes coincide
+  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
 }
 
 }  // namespace noisybeeps

@@ -11,10 +11,10 @@
 // transcript); the independent-noise channel delivers a per-party noisy
 // copy (Section 1.2 of the paper).
 //
-// Two delivery representations coexist (docs/PERFORMANCE.md):
-//   Deliver       one byte per listener -- the historical scalar path.
-//   DeliverWords  64 listeners packed per u64 word -- the word-parallel
-//                 path the mega-n round engine runs on.
+// Delivery is word-packed: 64 listeners per u64 word (DeliverWords), from
+// the channel through the round engine to the coding layer.  A byte per
+// listener (Deliver) is an adapter over the packed path for tests and
+// tooling.
 // Party and beeper counts are std::int64_t throughout: the packed path
 // simulates n in the millions and beyond, where `int` silently caps the
 // count and invites overflow UB.
@@ -22,7 +22,6 @@
 #define NOISYBEEPS_CHANNEL_CHANNEL_H_
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 
@@ -30,11 +29,12 @@
 
 namespace noisybeeps {
 
-// How the word-level delivery path treats the random stream:
-//   kStreamCompat  draw-for-draw identical to the scalar Deliver path:
-//                  same seed => same bits AND the same number of NextU64
-//                  calls, so every pre-word golden (channel stream tests,
-//                  EXPERIMENTS.md numbers) stays valid.
+// How delivery treats the random stream:
+//   kStreamCompat  draw-for-draw identical to the historical byte-per-
+//                  listener stream: same seed => same bits AND the same
+//                  number of NextU64 calls, so every golden (channel
+//                  stream tests, EXPERIMENTS.md numbers) stays valid.
+//                  Every simulator runs in this mode.
 //   kFast          batched noise sampling -- geometric skip-sampling for
 //                  sparse noise, bit-sliced word draws otherwise -- with
 //                  its own goldens, gated by perfguard baselines.
@@ -59,18 +59,23 @@ inline constexpr std::int64_t kWordBits = 64;
              : (std::uint64_t{1} << (n % kWordBits)) - 1;
 }
 
-// Fills every listener slot with the same received bit.  Shared-draw
-// channels (everything except the independent-noise channel) hand one
-// transcript to all parties; a memset is word-wide where the obvious
-// byte loop is not.
-inline void FillShared(std::span<std::uint8_t> received, bool bit) {
-  if (!received.empty()) {
-    std::memset(received.data(), bit ? 1 : 0, received.size());
-  }
+// Bit i of a packed span: party i's beep or received bit.
+[[nodiscard]] inline bool PackedBit(std::span<const std::uint64_t> words,
+                                   std::int64_t i) {
+  return ((words[static_cast<std::size_t>(i / kWordBits)] >>
+           (i % kWordBits)) &
+          1u) != 0;
 }
 
-// Word-level counterpart of FillShared: all-ones (masked to the valid
-// tail bits) or all-zeros.  Precondition: words.size() == WordsForParties(n).
+inline void SetPackedBit(std::span<std::uint64_t> words, std::int64_t i,
+                         bool value) {
+  const std::uint64_t mask = std::uint64_t{1} << (i % kWordBits);
+  std::uint64_t& word = words[static_cast<std::size_t>(i / kWordBits)];
+  word = value ? word | mask : word & ~mask;
+}
+
+// Every listener hears `bit`: all-ones (masked to the valid tail bits) or
+// all-zeros.  Precondition: words.size() == WordsForParties(n).
 void FillSharedWords(std::span<std::uint64_t> words, std::int64_t n,
                      bool bit);
 
@@ -87,23 +92,25 @@ class Channel {
 
   // Delivers one round.  `num_beepers` is the number of parties beeping
   // this round (passing a bool works too: the OR converts to 0/1);
-  // `received` has one slot per party and is filled with the bit each
-  // party hears (0/1).  The rng drives the channel noise for this round.
-  virtual void Deliver(std::int64_t num_beepers,
-                       std::span<std::uint8_t> received, Rng& rng) const = 0;
-
-  // Word-level delivery: `received` holds WordsForParties(num_parties)
-  // words, bit i of word w is what party w*64+i hears, and the unused
-  // tail bits of the last word come back zero (so callers can OR and
-  // popcount the result without masking).  The default implementation
-  // round-trips through the scalar Deliver -- bit-identical by
-  // construction, not fast; every built-in channel overrides it.
+  // `received` holds WordsForParties(num_parties) words, bit i of word w
+  // is what party w*64+i hears, and the unused tail bits of the last word
+  // come back zero (so callers can OR and popcount the result without
+  // masking).  The rng drives the channel noise for this round.
   // Preconditions: num_parties >= 1, 0 <= num_beepers <= num_parties,
   // received.size() == WordsForParties(num_parties).
   virtual void DeliverWords(std::int64_t num_beepers,
                             std::span<std::uint64_t> received,
                             std::int64_t num_parties, WordMode mode,
-                            Rng& rng) const;
+                            Rng& rng) const = 0;
+
+  // Byte-per-listener view of DeliverWords in kStreamCompat mode:
+  // received[i] is set to the bit (0/1) party i hears.  Allocates a word
+  // buffer per call, so it is for tests and tooling, never a round loop.
+  // Virtual only so a forwarding decorator can observe the calls.
+  // Preconditions: received is non-empty, 0 <= num_beepers <=
+  // received.size().
+  virtual void Deliver(std::int64_t num_beepers,
+                       std::span<std::uint8_t> received, Rng& rng) const;
 
   // True when every party is guaranteed to receive the same bit, i.e. the
   // parties share a single transcript.
@@ -111,15 +118,29 @@ class Channel {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  // Convenience for correlated channels: the single shared received bit.
-  // Precondition: is_correlated().
-  [[nodiscard]] bool DeliverShared(std::int64_t num_beepers, Rng& rng) const;
-
  protected:
   // Shared precondition checks for DeliverWords implementations.
   static void CheckWordDelivery(std::int64_t num_beepers,
                                 std::span<const std::uint64_t> received,
                                 std::int64_t num_parties);
+};
+
+// A channel on which every listener hears the same outcome in each round:
+// every built-in channel except the independent-noise one.  It defines
+// only that outcome; delivery fills every listener's bit from it.  One
+// outcome per round means the word modes coincide by construction.
+class SharedDrawChannel : public Channel {
+ public:
+  // The bit every listener hears this round, drawn from `rng` per the
+  // channel's noise model.  Precondition: num_beepers >= 0.
+  [[nodiscard]] virtual bool SharedOutcome(std::int64_t num_beepers,
+                                           Rng& rng) const = 0;
+
+  void DeliverWords(std::int64_t num_beepers,
+                    std::span<std::uint64_t> received,
+                    std::int64_t num_parties, WordMode mode,
+                    Rng& rng) const final;
+  [[nodiscard]] bool is_correlated() const final { return true; }
 };
 
 }  // namespace noisybeeps

@@ -20,21 +20,6 @@ bool CollisionAsSilenceChannel::SharedOutcome(std::int64_t num_beepers,
   return epsilon_ > 0.0 ? clean != noise_.Sample(rng) : clean;
 }
 
-void CollisionAsSilenceChannel::Deliver(std::int64_t num_beepers,
-                                        std::span<std::uint8_t> received,
-                                        Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void CollisionAsSilenceChannel::DeliverWords(std::int64_t num_beepers,
-                                             std::span<std::uint64_t> received,
-                                             std::int64_t num_parties,
-                                             WordMode mode, Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // at most one draw per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
-}
-
 std::string CollisionAsSilenceChannel::name() const {
   return "collision-as-silence(eps=" + FormatDouble(epsilon_) + ")";
 }

@@ -24,26 +24,18 @@
 
 namespace noisybeeps {
 
-class CollisionAsSilenceChannel final : public Channel {
+class CollisionAsSilenceChannel final : public SharedDrawChannel {
  public:
   // Precondition: 0 <= epsilon < 1/2 (0 = the noiseless collision model).
   explicit CollisionAsSilenceChannel(double epsilon);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // At most one draw per round: none when eps == 0.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double epsilon() const { return epsilon_; }
 
  private:
-  // At most one draw per round (none when eps == 0), shared by both
-  // delivery paths: the modes coincide.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   double epsilon_;
   BernoulliSampler noise_;
 };

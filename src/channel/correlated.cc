@@ -16,21 +16,6 @@ bool CorrelatedNoisyChannel::SharedOutcome(std::int64_t num_beepers,
   return (num_beepers > 0) != noise_.Sample(rng);
 }
 
-void CorrelatedNoisyChannel::Deliver(std::int64_t num_beepers,
-                                     std::span<std::uint8_t> received,
-                                     Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void CorrelatedNoisyChannel::DeliverWords(std::int64_t num_beepers,
-                                          std::span<std::uint64_t> received,
-                                          std::int64_t num_parties,
-                                          WordMode mode, Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // one draw per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
-}
-
 std::string CorrelatedNoisyChannel::name() const {
   return "correlated(eps=" + FormatDouble(epsilon_) + ")";
 }

@@ -9,27 +9,19 @@
 
 namespace noisybeeps {
 
-class CorrelatedNoisyChannel final : public Channel {
+class CorrelatedNoisyChannel final : public SharedDrawChannel {
  public:
   // Precondition: 0 <= epsilon < 1/2 (epsilon = 0 degenerates to the
   // noiseless channel; >= 1/2 carries no information).
   explicit CorrelatedNoisyChannel(double epsilon);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // One Sample per round.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double epsilon() const { return epsilon_; }
 
  private:
-  // The single shared draw both delivery paths fill from: one Sample per
-  // round, so scalar, stream-compat, and fast are one and the same stream.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   double epsilon_;
   BernoulliSampler noise_;
 };

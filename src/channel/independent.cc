@@ -16,17 +16,6 @@ IndependentNoisyChannel::IndependentNoisyChannel(double epsilon)
              "noise rate must lie in [0, 1/2)");
 }
 
-void IndependentNoisyChannel::Deliver(std::int64_t num_beepers,
-                                      std::span<std::uint8_t> received,
-                                      Rng& rng) const {
-  // One draw per listener, in listener order (the stream contract); the
-  // precomputed sampler turns each draw into a single integer compare.
-  const std::uint8_t or_bit = num_beepers > 0 ? 1 : 0;
-  for (auto& bit : received) {
-    bit = or_bit ^ static_cast<std::uint8_t>(noise_.Sample(rng));
-  }
-}
-
 void IndependentNoisyChannel::DeliverWords(std::int64_t num_beepers,
                                            std::span<std::uint64_t> received,
                                            std::int64_t num_parties,
@@ -35,9 +24,9 @@ void IndependentNoisyChannel::DeliverWords(std::int64_t num_beepers,
   const bool or_bit = num_beepers > 0;
 
   if (mode == WordMode::kStreamCompat) {
-    // Draw-for-draw replay of the scalar path: one Sample per listener in
-    // listener order, packed as we go.  Same seed => same bits and the
-    // same number of NextU64 calls as Deliver.
+    // The historical stream: one Sample per listener in listener order,
+    // packed as we go.  The precomputed sampler turns each draw into a
+    // single integer compare.
     for (std::size_t w = 0; w < received.size(); ++w) {
       const std::int64_t base = static_cast<std::int64_t>(w) * kWordBits;
       const std::int64_t lanes = std::min(kWordBits, num_parties - base);

@@ -3,8 +3,8 @@
 // across parties and rounds.  Parties may witness different transcripts.
 //
 // This is the one built-in channel whose word modes are distinct streams:
-// per-listener noise means kStreamCompat replays the scalar listener-order
-// draws exactly, while kFast batches -- geometric skip-sampling when
+// per-listener noise means kStreamCompat draws one Sample per listener in
+// listener order (the historical stream), while kFast batches -- geometric skip-sampling when
 // flips are sparse (expected draws ~ eps * n), bit-sliced word draws
 // otherwise (~7.5 draws per 64 listeners).  Both modes sample each
 // listener's flip from the identical fixed-point Bernoulli(eps)
@@ -21,8 +21,6 @@ class IndependentNoisyChannel final : public Channel {
   // Precondition: 0 <= epsilon < 1/2.
   explicit IndependentNoisyChannel(double epsilon);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
   void DeliverWords(std::int64_t num_beepers,
                     std::span<std::uint64_t> received,
                     std::int64_t num_parties, WordMode mode,

@@ -6,15 +6,13 @@
 
 namespace noisybeeps {
 
-class NoiselessChannel final : public Channel {
+class NoiselessChannel final : public SharedDrawChannel {
  public:
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // Deterministic: no draws.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& /*rng*/) const override {
+    return num_beepers > 0;
+  }
   [[nodiscard]] std::string name() const override { return "noiseless"; }
 };
 

@@ -17,21 +17,6 @@ bool OneSidedUpChannel::SharedOutcome(std::int64_t num_beepers,
   return num_beepers > 0 || noise_.Sample(rng);
 }
 
-void OneSidedUpChannel::Deliver(std::int64_t num_beepers,
-                                std::span<std::uint8_t> received,
-                                Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void OneSidedUpChannel::DeliverWords(std::int64_t num_beepers,
-                                     std::span<std::uint64_t> received,
-                                     std::int64_t num_parties, WordMode mode,
-                                     Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // one draw per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
-}
-
 std::string OneSidedUpChannel::name() const {
   return "one-sided-up(eps=" + FormatDouble(epsilon_) + ")";
 }
@@ -45,21 +30,6 @@ bool OneSidedDownChannel::SharedOutcome(std::int64_t num_beepers,
                                         Rng& rng) const {
   // Short-circuit on silence is part of the stream contract.
   return num_beepers > 0 && !noise_.Sample(rng);
-}
-
-void OneSidedDownChannel::Deliver(std::int64_t num_beepers,
-                                  std::span<std::uint8_t> received,
-                                  Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void OneSidedDownChannel::DeliverWords(std::int64_t num_beepers,
-                                       std::span<std::uint64_t> received,
-                                       std::int64_t num_parties,
-                                       WordMode mode, Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // one draw per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
 }
 
 std::string OneSidedDownChannel::name() const {

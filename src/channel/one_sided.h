@@ -16,50 +16,34 @@
 
 namespace noisybeeps {
 
-class OneSidedUpChannel final : public Channel {
+class OneSidedUpChannel final : public SharedDrawChannel {
  public:
   // Precondition: 0 <= epsilon < 1.
   explicit OneSidedUpChannel(double epsilon);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // At most one draw per round: none when someone beeped.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double epsilon() const { return epsilon_; }
 
  private:
-  // One draw at most per round (short-circuited on a beep), shared by
-  // both delivery paths: the modes coincide.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   double epsilon_;
   BernoulliSampler noise_;
 };
 
-class OneSidedDownChannel final : public Channel {
+class OneSidedDownChannel final : public SharedDrawChannel {
  public:
   // Precondition: 0 <= epsilon < 1.
   explicit OneSidedDownChannel(double epsilon);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // At most one draw per round: none on silence.
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] double epsilon() const { return epsilon_; }
 
  private:
-  // One draw at most per round (short-circuited on silence), shared by
-  // both delivery paths: the modes coincide.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   double epsilon_;
   BernoulliSampler noise_;
 };

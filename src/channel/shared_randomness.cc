@@ -15,27 +15,13 @@ SharedRandomnessOneSidedAdapter::SharedRandomnessOneSidedAdapter(
 bool SharedRandomnessOneSidedAdapter::SharedOutcome(std::int64_t num_beepers,
                                                     Rng& rng) const {
   // Step 1: the underlying one-sided-up channel.
-  bool bit = inner_.DeliverShared(num_beepers, rng);
+  bool bit = inner_.SharedOutcome(num_beepers, rng);
   // Step 2: shared-randomness downward flip applied by the parties
   // themselves.  Because the randomness is shared, everyone flips (or not)
   // in unison, so the channel stays correlated.  The short-circuit (no
   // draw on a received 0) is part of the stream contract.
   if (bit && flip_.Sample(rng)) bit = false;
   return bit;
-}
-
-void SharedRandomnessOneSidedAdapter::Deliver(std::int64_t num_beepers,
-                                              std::span<std::uint8_t> received,
-                                              Rng& rng) const {
-  FillShared(received, SharedOutcome(num_beepers, rng));
-}
-
-void SharedRandomnessOneSidedAdapter::DeliverWords(
-    std::int64_t num_beepers, std::span<std::uint64_t> received,
-    std::int64_t num_parties, WordMode mode, Rng& rng) const {
-  CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // at most two draws per round either way: the modes coincide
-  FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
 }
 
 std::string SharedRandomnessOneSidedAdapter::name() const {

@@ -20,7 +20,7 @@
 
 namespace noisybeeps {
 
-class SharedRandomnessOneSidedAdapter final : public Channel {
+class SharedRandomnessOneSidedAdapter final : public SharedDrawChannel {
  public:
   // Preconditions: 0 <= up_eps < 1, 0 <= flip_prob < 1.
   SharedRandomnessOneSidedAdapter(double up_eps, double flip_prob);
@@ -30,13 +30,10 @@ class SharedRandomnessOneSidedAdapter final : public Channel {
     return SharedRandomnessOneSidedAdapter(1.0 / 3.0, 0.25);
   }
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  void DeliverWords(std::int64_t num_beepers,
-                    std::span<std::uint64_t> received,
-                    std::int64_t num_parties, WordMode mode,
-                    Rng& rng) const override;
-  [[nodiscard]] bool is_correlated() const override { return true; }
+  // The inner one-sided draw, then the shared flip (no draw on a received
+  // 0).
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
 
   // The effective two-sided flip rates of the composite channel.
@@ -46,10 +43,6 @@ class SharedRandomnessOneSidedAdapter final : public Channel {
   }
 
  private:
-  // Inner one-sided draw then conditional shared flip (short-circuited on
-  // a received 0), shared by both delivery paths: the modes coincide.
-  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers, Rng& rng) const;
-
   OneSidedUpChannel inner_;
   double flip_prob_;
   BernoulliSampler flip_;

@@ -1,6 +1,5 @@
 #include "channel/trace.h"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -77,16 +76,6 @@ std::size_t CountNoisyRounds(const Trace& trace) {
 
 RecordingChannel::RecordingChannel(const Channel& inner) : inner_(&inner) {}
 
-void RecordingChannel::Deliver(std::int64_t num_beepers,
-                               std::span<std::uint8_t> received,
-                               Rng& rng) const {
-  inner_->Deliver(num_beepers, received, rng);
-  TraceRound round;
-  round.or_bit = num_beepers > 0;
-  round.delivered.assign(received.begin(), received.end());
-  trace_.push_back(std::move(round));
-}
-
 void RecordingChannel::DeliverWords(std::int64_t num_beepers,
                                     std::span<std::uint64_t> received,
                                     std::int64_t num_parties, WordMode mode,
@@ -113,22 +102,6 @@ ReplayChannel::ReplayChannel(Trace trace, bool correlated)
                "replay trace is ragged: party count changes at round " +
                    std::to_string(r));
   }
-}
-
-void ReplayChannel::Deliver(std::int64_t num_beepers,
-                            std::span<std::uint8_t> received,
-                            Rng& rng) const {
-  (void)num_beepers;  // the recording dictates the outcome
-  (void)rng;
-  NB_REQUIRE(next_ < trace_.size(),
-             "ReplayChannel: trace exhausted after " +
-                 std::to_string(trace_.size()) +
-                 " rounds -- the replayed execution asked for more rounds "
-                 "than were recorded");
-  const TraceRound& round = trace_[next_++];
-  NB_REQUIRE(round.delivered.size() == received.size(),
-             "replaying a trace recorded with a different party count");
-  std::copy(round.delivered.begin(), round.delivered.end(), received.begin());
 }
 
 void ReplayChannel::DeliverWords(std::int64_t num_beepers,

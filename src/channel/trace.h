@@ -44,10 +44,8 @@ class RecordingChannel final : public Channel {
   // Borrows `inner`; it must outlive this object.
   explicit RecordingChannel(const Channel& inner);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  // Forwards to the inner channel's word path, then unpacks the result
-  // into the trace (the trace format is byte-per-party either way).
+  // Forwards to the inner channel, then unpacks the result into the trace
+  // (the trace format is byte-per-party).
   void DeliverWords(std::int64_t num_beepers,
                     std::span<std::uint64_t> received,
                     std::int64_t num_parties, WordMode mode,
@@ -71,16 +69,13 @@ class ReplayChannel final : public Channel {
   // original channel was.
   // Precondition: every round of `trace` delivers to the same non-zero
   // number of parties (a ragged trace is rejected at construction).
-  // Deliver fails loudly (std::invalid_argument via NB_REQUIRE) when asked
-  // for more rounds than the trace holds or when the party count differs
-  // from the recording -- replay divergence is a bug in the caller, never
-  // silently absorbed.
+  // Delivery fails loudly (std::invalid_argument via NB_REQUIRE) when
+  // asked for more rounds than the trace holds or when the party count
+  // differs from the recording -- replay divergence is a bug in the
+  // caller, never silently absorbed.
   ReplayChannel(Trace trace, bool correlated);
 
-  void Deliver(std::int64_t num_beepers, std::span<std::uint8_t> received,
-               Rng& rng) const override;
-  // Packs the next recorded round into words; ignores mode and rng like
-  // the scalar replay.
+  // Packs the next recorded round into words; ignores mode and rng.
   void DeliverWords(std::int64_t num_beepers,
                     std::span<std::uint64_t> received,
                     std::int64_t num_parties, WordMode mode,

@@ -1,6 +1,7 @@
 #include "coding/chunk_sim.h"
 
 #include "coding/owner_finding.h"
+#include "coding/verification.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -34,23 +35,18 @@ ChunkAttempt SimulateChunk(const Protocol& protocol,
   // by the candidate bits decoded so far; the party's pure f_m^i reads it.
   engine.SetPhase("chunk-sim");
   std::vector<BitString> working = committed;
-  std::vector<std::uint8_t> beeps(n, 0);
-  std::vector<std::size_t> ones(n, 0);
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
   for (int m = 0; m < chunk_len; ++m) {
     for (int i = 0; i < n; ++i) {
       const bool b = protocol.party(i).ChooseBeep(working[i]);
-      beeps[i] = b ? 1 : 0;
+      SetPackedBit(beeps, i, b);
       attempt.beeped[i].PushBack(b);
     }
-    std::fill(ones.begin(), ones.end(), 0);
-    for (int t = 0; t < rep_factor; ++t) {
-      const auto received = engine.Round(beeps);
-      for (int i = 0; i < n; ++i) ones[i] += received[i];
-    }
+    const std::vector<std::uint8_t> decoded =
+        RepeatRound(engine, beeps, rep_factor, FlagRule::kMajority);
     for (int i = 0; i < n; ++i) {
-      const bool bit = 2 * ones[i] >= static_cast<std::size_t>(rep_factor);
-      attempt.candidate[i].PushBack(bit);
-      working[i].PushBack(bit);
+      attempt.candidate[i].PushBack(decoded[i] != 0);
+      working[i].PushBack(decoded[i] != 0);
     }
   }
 

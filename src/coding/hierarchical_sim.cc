@@ -1,19 +1,10 @@
 #include "coding/hierarchical_sim.h"
 
-#include <map>
-
 #include "coding/sim_common.h"
-#include "fault/injection.h"
 #include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
-
-using internal::AllFirstViolations;
-using internal::AppendAttempt;
-using internal::CommitState;
-using internal::DivergenceTracker;
-using internal::TruncateTo;
 
 HierarchicalSimulator::HierarchicalSimulator(HierarchicalSimOptions options)
     : options_(options) {
@@ -22,156 +13,24 @@ HierarchicalSimulator::HierarchicalSimulator(HierarchicalSimOptions options)
   NB_REQUIRE(options_.max_level >= 1, "need at least one audit level");
 }
 
-namespace {
-
-// Runs one binary-search audit over the full committed transcript and
-// truncates every party's state to its verified prefix.  Returns party 0's
-// verified prefix length (the scheme's working view of progress).
-std::size_t Audit(const Protocol& protocol, CommitState& state,
-                  RoundEngine& engine, NoiseRegime regime, FlagRule rule,
-                  int flag_reps, DivergenceTracker& tracker) {
-  const std::size_t len = state.committed.front().size();
-  if (len == 0) return 0;
-  const std::vector<std::size_t> first_violation =
-      AllFirstViolations(protocol, state, 0, regime);
-  engine.SetPhase("audit");
-  const std::vector<std::size_t> verified =
-      BinarySearchVerifiedPrefix(engine, first_violation, len, flag_reps, rule);
-  tracker.Observe(verified, "audit", engine.rounds_used());
-  // All parties truncate to the SAME length (party 0's verified prefix):
-  // the orchestration keeps per-party transcript lengths equal, and under
-  // a correlated channel the verified lengths coincide anyway.  A party
-  // whose own verdict differed simply carries its divergent content
-  // forward, as it would in a desynchronized real execution.
-  const std::vector<std::size_t> uniform(state.committed.size(), verified[0]);
-  TruncateTo(state, uniform);
-  return verified[0];
-}
-
-}  // namespace
-
 SimulationResult HierarchicalSimulator::Simulate(const Protocol& protocol,
                                                  const Channel& channel,
                                                  const FaultPlan& faults,
                                                  Rng& rng) const {
   const int n = protocol.num_parties();
-  const int T = protocol.length();
-  const RewindSimulator flat(options_.base);  // reuse parameter resolution
-  const int rep_factor = flat.EffectiveRepFactor(n);
-  const int base_chunk = flat.EffectiveChunkLen(n);
-  const int level0_flag_reps = flat.EffectiveFlagReps(n);
-  const int audit_base = options_.audit_flag_base > 0
-                             ? options_.audit_flag_base
-                             : level0_flag_reps;
+  const RewindSimulator flat(options_.base);  // the chunk parameters
+  const internal::AuditSchedule audits{
+      .base = options_.audit_flag_base > 0 ? options_.audit_flag_base
+                                           : flat.EffectiveFlagReps(n),
+      .slope = options_.audit_flag_slope,
+      .max_level = options_.max_level};
   const std::int64_t max_rounds =
       options_.base.max_rounds > 0
           ? options_.base.max_rounds
-          : 400LL * (T + 64) *
+          : 400LL * (protocol.length() + 64) *
                 (CeilLog2(static_cast<std::uint64_t>(n < 2 ? 2 : n)) + 2);
-
-  if (options_.base.scheduled()) {
-    internal::RequireValidSchedule(protocol, options_.base.owner_schedule);
-  }
-
-  FaultyRoundEngine engine(channel, rng, n, faults);
-  CommitState state(n);
-  internal::DivergenceTracker tracker;
-  std::map<int, BeepCode> codes;
-
-  std::int64_t commits = 0;
-  int start = 0;
-  bool exhausted = false;
-  bool final_audit_passed = false;
-  while (!final_audit_passed) {
-    if (engine.rounds_used() > max_rounds) {
-      exhausted = true;
-      break;
-    }
-
-    if (start < T) {
-      const int chunk_len = std::min(base_chunk, T - start);
-      const BeepCode* code = nullptr;
-      if (options_.base.regime == NoiseRegime::kTwoSided &&
-          !options_.base.scheduled()) {
-        auto it = codes.find(chunk_len);
-        if (it == codes.end()) {
-          it = codes
-                   .emplace(chunk_len,
-                            BeepCode(chunk_len,
-                                     options_.base.code_length_factor,
-                                     options_.base.code_seed + chunk_len))
-                   .first;
-        }
-        code = &it->second;
-      }
-
-      ChunkAttempt attempt =
-          SimulateChunk(protocol, state.committed, start, chunk_len,
-                        rep_factor, code, engine);
-      if (options_.base.scheduled()) {
-        internal::InjectScheduleOwners(attempt, options_.base.owner_schedule,
-                                       start);
-      }
-      tracker.Observe(attempt.candidate, "chunk-sim", engine.rounds_used());
-      if (code != nullptr) {
-        tracker.Observe(attempt.owners, "owner-finding",
-                        engine.rounds_used());
-      }
-      CommitState trial = state;
-      AppendAttempt(trial, attempt);
-      const std::vector<std::size_t> first_violation = AllFirstViolations(
-          protocol, trial, static_cast<std::size_t>(start),
-          options_.base.regime);
-      std::vector<std::uint8_t> flags(n, 0);
-      for (int i = 0; i < n; ++i) {
-        flags[i] = first_violation[i] < trial.committed[i].size() ? 1 : 0;
-      }
-      engine.SetPhase("verify-flags");
-      const std::vector<std::uint8_t> verdict = CommunicateFlags(
-          engine, flags, level0_flag_reps, options_.base.flag_rule);
-      tracker.Observe(verdict, "verify-flags", engine.rounds_used());
-      if (verdict[0] == 0) {
-        state = std::move(trial);
-        start += chunk_len;
-        ++commits;
-        // Escalating audits: a level-l audit after every 2^l-th commit.
-        for (int l = 1; l <= options_.max_level && commits % (1LL << l) == 0;
-             ++l) {
-          const int reps = audit_base + l * options_.audit_flag_slope;
-          start = static_cast<int>(Audit(protocol, state, engine,
-                                         options_.base.regime,
-                                         options_.base.flag_rule, reps,
-                                         tracker));
-        }
-      }
-      continue;
-    }
-
-    // start == T: the final gate.  Audit at maximal strength; pass iff the
-    // whole transcript survives.
-    const int final_level =
-        CeilLog2(static_cast<std::uint64_t>(commits < 2 ? 2 : commits)) + 2;
-    const int reps = audit_base + final_level * options_.audit_flag_slope;
-    start = static_cast<int>(Audit(protocol, state, engine,
-                                   options_.base.regime,
-                                   options_.base.flag_rule, reps, tracker));
-    final_audit_passed = start == T;
-  }
-
-  SimulationResult result;
-  result.transcripts = std::move(state.committed);
-  result.owners = std::move(state.owners);
-  result.outputs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    BitString pi = result.transcripts[i];
-    while (static_cast<int>(pi.size()) < T) pi.PushBack(false);
-    result.outputs.push_back(protocol.party(i).ComputeOutput(pi));
-  }
-  result.noisy_rounds_used = engine.rounds_used();
-  result.phase_rounds = engine.phase_rounds();
-  result.verdict = ComputeVerdict(result.transcripts, T, exhausted);
-  tracker.Export(result.verdict);
-  return result;
+  return internal::RunChunkLoop(protocol, channel, faults, rng, flat,
+                                max_rounds, &audits);
 }
 
 std::string HierarchicalSimulator::name() const {

@@ -1,5 +1,7 @@
 #include "coding/owner_finding.h"
 
+#include <algorithm>
+
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -52,7 +54,7 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
   engine.SetPhase("owner-finding");
   const std::size_t word_len = code.codeword_length();
   const int iterations = static_cast<int>(chunk_len) + n;
-  std::vector<std::uint8_t> beeps(n, 0);
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
   std::vector<BitString> received(n);
 
   for (int l = 0; l < iterations; ++l) {
@@ -70,11 +72,15 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
     }
     for (int i = 0; i < n; ++i) received[i] = BitString();
     for (std::size_t t = 0; t < word_len; ++t) {
+      std::fill(beeps.begin(), beeps.end(), 0);
       for (int i = 0; i < n; ++i) {
-        beeps[i] = (!words[i].empty() && words[i][t]) ? 1 : 0;
+        if (!words[i].empty() && words[i][t]) SetPackedBit(beeps, i, true);
       }
-      const auto round_bits = engine.Round(beeps);
-      for (int i = 0; i < n; ++i) received[i].PushBack(round_bits[i] != 0);
+      const std::span<const std::uint64_t> round_bits =
+          engine.RoundWords(beeps);
+      for (int i = 0; i < n; ++i) {
+        received[i].PushBack(PackedBit(round_bits, i));
+      }
     }
     // Decoding + state update, per party, from that party's received bits.
     for (int i = 0; i < n; ++i) {

@@ -33,22 +33,17 @@ SimulationResult RepetitionSimulator::Simulate(const Protocol& protocol,
   SimulationResult result;
   result.transcripts.assign(n, BitString());
 
-  std::vector<std::uint8_t> beeps(n, 0);
-  std::vector<std::uint8_t> decoded(n, 0);
-  std::vector<std::size_t> ones(n, 0);
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
   for (int m = 0; m < protocol.length(); ++m) {
     // Each party fixes its beep for logical round m from its own
     // reconstructed prefix (pure f_m^i), then beeps it `reps` times.
     for (int i = 0; i < n; ++i) {
-      beeps[i] = protocol.party(i).ChooseBeep(result.transcripts[i]) ? 1 : 0;
+      SetPackedBit(beeps, i,
+                   protocol.party(i).ChooseBeep(result.transcripts[i]));
     }
-    std::fill(ones.begin(), ones.end(), 0);
-    for (int t = 0; t < reps; ++t) {
-      const auto received = engine.Round(beeps);
-      for (int i = 0; i < n; ++i) ones[i] += received[i];
-    }
+    const std::vector<std::uint8_t> decoded =
+        RepeatRound(engine, beeps, reps, FlagRule::kMajority);
     for (int i = 0; i < n; ++i) {
-      decoded[i] = 2 * ones[i] >= static_cast<std::size_t>(reps) ? 1 : 0;
       result.transcripts[i].PushBack(decoded[i] != 0);
     }
     tracker.Observe(decoded, "repetition", engine.rounds_used());

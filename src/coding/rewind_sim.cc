@@ -1,17 +1,10 @@
 #include "coding/rewind_sim.h"
 
-#include <map>
-
 #include "coding/sim_common.h"
-#include "fault/injection.h"
 #include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
-
-using internal::AllFirstViolations;
-using internal::AppendAttempt;
-using internal::CommitState;
 
 RewindSimulator::RewindSimulator(RewindSimOptions options)
     : options_(options) {
@@ -51,101 +44,13 @@ SimulationResult RewindSimulator::Simulate(const Protocol& protocol,
                                            const FaultPlan& faults,
                                            Rng& rng) const {
   const int n = protocol.num_parties();
-  const int T = protocol.length();
-  const int flag_reps = EffectiveFlagReps(n);
-  const int rep_factor = EffectiveRepFactor(n);
-  const int base_chunk = EffectiveChunkLen(n);
   const std::int64_t max_rounds =
       options_.max_rounds > 0
           ? options_.max_rounds
-          : 300LL * (T + 64) *
+          : 300LL * (protocol.length() + 64) *
                 (CeilLog2(static_cast<std::uint64_t>(n < 2 ? 2 : n)) + 2);
-
-  if (options_.scheduled()) {
-    internal::RequireValidSchedule(protocol, options_.owner_schedule);
-  }
-
-  FaultyRoundEngine engine(channel, rng, n, faults);
-  CommitState state(n);
-  internal::DivergenceTracker tracker;
-  // Beep codes are deterministic functions of (chunk length, seed): part
-  // of the protocol description, shared by all parties.
-  std::map<int, BeepCode> codes;
-
-  SimulationResult result;
-  int start = 0;
-  bool exhausted = false;
-  while (start < T) {
-    if (engine.rounds_used() > max_rounds) {
-      exhausted = true;
-      break;
-    }
-    const int chunk_len = std::min(base_chunk, T - start);
-
-    // With a pre-assigned owner schedule there is nothing to find; the
-    // owner-finding phase (and its beep code) is skipped entirely.
-    const BeepCode* code = nullptr;
-    if (options_.regime == NoiseRegime::kTwoSided && !options_.scheduled()) {
-      auto it = codes.find(chunk_len);
-      if (it == codes.end()) {
-        it = codes
-                 .emplace(chunk_len,
-                          BeepCode(chunk_len, options_.code_length_factor,
-                                   options_.code_seed + chunk_len))
-                 .first;
-      }
-      code = &it->second;
-    }
-
-    ChunkAttempt attempt = SimulateChunk(
-        protocol, state.committed, start, chunk_len, rep_factor, code, engine);
-    if (options_.scheduled()) {
-      internal::InjectScheduleOwners(attempt, options_.owner_schedule, start);
-    }
-    tracker.Observe(attempt.candidate, "chunk-sim", engine.rounds_used());
-    if (code != nullptr) {
-      tracker.Observe(attempt.owners, "owner-finding", engine.rounds_used());
-    }
-
-    // Verification: each party checks the candidate extension against its
-    // own beeps (and its owned 1s), then the flags are OR'd noisily.
-    CommitState trial = state;
-    AppendAttempt(trial, attempt);
-    const std::vector<std::size_t> first_violation = AllFirstViolations(
-        protocol, trial, static_cast<std::size_t>(start), options_.regime);
-    std::vector<std::uint8_t> flags(n, 0);
-    for (int i = 0; i < n; ++i) {
-      flags[i] =
-          first_violation[i] < trial.committed[i].size() ? 1 : 0;
-    }
-    engine.SetPhase("verify-flags");
-    const std::vector<std::uint8_t> verdict =
-        CommunicateFlags(engine, flags, flag_reps, options_.flag_rule);
-    tracker.Observe(verdict, "verify-flags", engine.rounds_used());
-
-    // Commit/rewind follows party 0's verdict (see sim_common.h on
-    // control-flow synchronization).
-    if (verdict[0] == 0) {
-      state = std::move(trial);
-      start += chunk_len;
-    }
-  }
-
-  result.transcripts = std::move(state.committed);
-  result.owners = std::move(state.owners);
-  result.outputs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    // On budget exhaustion the committed transcript may be short; pad with
-    // zeros so output functions see a full-length transcript.
-    BitString pi = result.transcripts[i];
-    while (static_cast<int>(pi.size()) < T) pi.PushBack(false);
-    result.outputs.push_back(protocol.party(i).ComputeOutput(pi));
-  }
-  result.noisy_rounds_used = engine.rounds_used();
-  result.phase_rounds = engine.phase_rounds();
-  result.verdict = ComputeVerdict(result.transcripts, T, exhausted);
-  tracker.Export(result.verdict);
-  return result;
+  return internal::RunChunkLoop(protocol, channel, faults, rng, *this,
+                                max_rounds, /*audits=*/nullptr);
 }
 
 std::string RewindSimulator::name() const {

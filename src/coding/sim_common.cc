@@ -1,9 +1,18 @@
 #include "coding/sim_common.h"
 
+#include <algorithm>
+#include <map>
+
+#include "coding/chunk_sim.h"
+#include "fault/injection.h"
+#include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps::internal {
+namespace {
 
+// Appends a chunk attempt to every party's state.  When the attempt has no
+// owner phase, owners extend with -1 (kDownOnly needs none).
 void AppendAttempt(CommitState& state, const ChunkAttempt& attempt) {
   const int n = state.num_parties();
   NB_REQUIRE(static_cast<int>(attempt.candidate.size()) == n,
@@ -20,19 +29,19 @@ void AppendAttempt(CommitState& state, const ChunkAttempt& attempt) {
   }
 }
 
-void TruncateTo(CommitState& state,
-                const std::vector<std::size_t>& prefix_len) {
-  const int n = state.num_parties();
-  NB_REQUIRE(static_cast<int>(prefix_len.size()) == n,
-             "one prefix length per party");
-  for (int i = 0; i < n; ++i) {
-    NB_REQUIRE(prefix_len[i] <= state.committed[i].size(),
+// Truncates every party's state to `len` rounds.
+void TruncateTo(CommitState& state, std::size_t len) {
+  for (int i = 0; i < state.num_parties(); ++i) {
+    NB_REQUIRE(len <= state.committed[i].size(),
                "verified prefix longer than committed transcript");
-    state.committed[i].Truncate(prefix_len[i]);
-    state.owners[i].resize(prefix_len[i]);
+    state.committed[i].Truncate(len);
+    state.owners[i].resize(len);
   }
 }
 
+// For scheduled (broadcast-like) protocols: fills every party's owner
+// records for chunk rounds [start, start + chunk_len) straight from the
+// pre-assigned schedule, in place of Algorithm 1's owner-finding phase.
 void InjectScheduleOwners(ChunkAttempt& attempt,
                           const std::vector<int>& schedule, int start) {
   const std::size_t chunk_len = attempt.candidate.front().size();
@@ -47,6 +56,9 @@ void InjectScheduleOwners(ChunkAttempt& attempt,
   }
 }
 
+// Validates a schedule against a protocol: size == length, owners in
+// range, and in every round only the scheduled owner ever beeps (checked
+// by replaying the reference execution).  Throws on violation.
 void RequireValidSchedule(const Protocol& protocol,
                           const std::vector<int>& schedule) {
   NB_REQUIRE(static_cast<int>(schedule.size()) == protocol.length(),
@@ -66,6 +78,31 @@ void RequireValidSchedule(const Protocol& protocol,
   }
 }
 
+// Runs one binary-search audit over the full committed transcript and
+// truncates every party's state to party 0's verified prefix, which it
+// returns (the scheme's working view of progress).
+std::size_t Audit(const Protocol& protocol, CommitState& state,
+                  RoundEngine& engine, const RewindSimOptions& options,
+                  int flag_reps, DivergenceTracker& tracker) {
+  const std::size_t len = state.committed.front().size();
+  if (len == 0) return 0;
+  const std::vector<std::size_t> first_violation =
+      AllFirstViolations(protocol, state, 0, options.regime);
+  engine.SetPhase("audit");
+  const std::vector<std::size_t> verified = BinarySearchVerifiedPrefix(
+      engine, first_violation, len, flag_reps, options.flag_rule);
+  tracker.Observe(verified, "audit", engine.rounds_used());
+  // All parties truncate to the SAME length (party 0's verified prefix):
+  // the orchestration keeps per-party transcript lengths equal, and under
+  // a correlated channel the verified lengths coincide anyway.  A party
+  // whose own verdict differed simply carries its divergent content
+  // forward, as it would in a desynchronized real execution.
+  TruncateTo(state, verified[0]);
+  return verified[0];
+}
+
+}  // namespace
+
 std::vector<std::size_t> AllFirstViolations(const Protocol& protocol,
                                             const CommitState& state,
                                             std::size_t from,
@@ -76,6 +113,126 @@ std::vector<std::size_t> AllFirstViolations(const Protocol& protocol,
     result[i] = FirstViolation(protocol, i, state.committed[i],
                                state.owners[i], regime, from);
   }
+  return result;
+}
+
+SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
+                              const FaultPlan& faults, Rng& rng,
+                              const RewindSimulator& scheme,
+                              std::int64_t max_rounds,
+                              const AuditSchedule* audits) {
+  const int n = protocol.num_parties();
+  const int T = protocol.length();
+  const RewindSimOptions& options = scheme.options();
+  const int base_chunk = scheme.EffectiveChunkLen(n);
+  const int rep_factor = scheme.EffectiveRepFactor(n);
+  const int flag_reps = scheme.EffectiveFlagReps(n);
+  if (options.scheduled()) {
+    RequireValidSchedule(protocol, options.owner_schedule);
+  }
+
+  FaultyRoundEngine engine(channel, rng, n, faults);
+  CommitState state(n);
+  DivergenceTracker tracker;
+  // With a pre-assigned owner schedule there is nothing to find; the
+  // owner-finding phase (and its beep code) is skipped entirely.
+  const bool find_owners =
+      options.regime == NoiseRegime::kTwoSided && !options.scheduled();
+  // Beep codes are deterministic functions of (chunk length, seed): part
+  // of the protocol description, shared by all parties.
+  std::map<int, BeepCode> codes;
+
+  std::int64_t commits = 0;
+  int start = 0;
+  bool exhausted = false;
+  for (;;) {
+    if (start == T && audits == nullptr) break;
+    if (engine.rounds_used() > max_rounds) {
+      exhausted = true;
+      break;
+    }
+    if (start == T) {
+      // The final gate: audit at maximal strength; pass iff the whole
+      // transcript survives.
+      const int level =
+          CeilLog2(static_cast<std::uint64_t>(commits < 2 ? 2 : commits)) + 2;
+      start = static_cast<int>(Audit(protocol, state, engine, options,
+                                     audits->base + level * audits->slope,
+                                     tracker));
+      if (start == T) break;
+      continue;
+    }
+
+    const int chunk_len = std::min(base_chunk, T - start);
+    const BeepCode* code = nullptr;
+    if (find_owners) {
+      auto it = codes.find(chunk_len);
+      if (it == codes.end()) {
+        it = codes
+                 .emplace(chunk_len,
+                          BeepCode(chunk_len, options.code_length_factor,
+                                   options.code_seed + chunk_len))
+                 .first;
+      }
+      code = &it->second;
+    }
+    ChunkAttempt attempt = SimulateChunk(protocol, state.committed, start,
+                                         chunk_len, rep_factor, code, engine);
+    if (options.scheduled()) {
+      InjectScheduleOwners(attempt, options.owner_schedule, start);
+    }
+    tracker.Observe(attempt.candidate, "chunk-sim", engine.rounds_used());
+    if (code != nullptr) {
+      tracker.Observe(attempt.owners, "owner-finding", engine.rounds_used());
+    }
+
+    // Verification: each party checks the candidate extension against its
+    // own beeps (and its owned 1s), then the flags are OR'd noisily.
+    AppendAttempt(state, attempt);
+    const std::vector<std::size_t> first_violation = AllFirstViolations(
+        protocol, state, static_cast<std::size_t>(start), options.regime);
+    std::vector<std::uint8_t> flags(n, 0);
+    for (int i = 0; i < n; ++i) {
+      flags[i] = first_violation[i] < state.committed[i].size() ? 1 : 0;
+    }
+    engine.SetPhase("verify-flags");
+    const std::vector<std::uint8_t> verdict =
+        CommunicateFlags(engine, flags, flag_reps, options.flag_rule);
+    tracker.Observe(verdict, "verify-flags", engine.rounds_used());
+
+    // Commit/rewind follows party 0's verdict (see sim_common.h on
+    // control-flow synchronization).
+    if (verdict[0] != 0) {
+      TruncateTo(state, static_cast<std::size_t>(start));
+      continue;
+    }
+    start += chunk_len;
+    ++commits;
+    if (audits == nullptr) continue;
+    // Escalating audits: a level-l audit after every 2^l-th commit.
+    for (int l = 1; l <= audits->max_level && commits % (1LL << l) == 0;
+         ++l) {
+      start = static_cast<int>(Audit(protocol, state, engine, options,
+                                     audits->base + l * audits->slope,
+                                     tracker));
+    }
+  }
+
+  SimulationResult result;
+  result.transcripts = std::move(state.committed);
+  result.owners = std::move(state.owners);
+  result.outputs.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    // On budget exhaustion the committed transcript may be short; pad with
+    // zeros so output functions see a full-length transcript.
+    BitString pi = result.transcripts[i];
+    while (static_cast<int>(pi.size()) < T) pi.PushBack(false);
+    result.outputs.push_back(protocol.party(i).ComputeOutput(pi));
+  }
+  result.noisy_rounds_used = engine.rounds_used();
+  result.phase_rounds = engine.phase_rounds();
+  result.verdict = ComputeVerdict(result.transcripts, T, exhausted);
+  tracker.Export(result.verdict);
   return result;
 }
 

@@ -1,4 +1,5 @@
-// Internal helpers shared by the rewind-if-error simulators.
+// Internal helpers shared by the simulators, and the chunk loop both
+// rewind-if-error simulators run.
 //
 // CommitState is the per-party progress of a chunked simulation: each
 // party's committed reconstruction of the noiseless transcript plus its
@@ -20,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/chunk_sim.h"
+#include "coding/rewind_sim.h"
 #include "coding/simulator.h"
 #include "coding/verification.h"
 #include "protocol/protocol.h"
@@ -79,14 +80,6 @@ struct CommitState {
   }
 };
 
-// Appends a chunk attempt to every party's state.  When the attempt has no
-// owner phase, owners extend with -1 (kDownOnly needs none).
-void AppendAttempt(CommitState& state, const ChunkAttempt& attempt);
-
-// Truncates party i's state to its verified prefix length.
-void TruncateTo(CommitState& state,
-                const std::vector<std::size_t>& prefix_len);
-
 // first-violation index for every party over its own committed transcript,
 // ignoring violations before round `from` (already-committed rounds a flat
 // scheme cannot revisit).
@@ -94,17 +87,34 @@ void TruncateTo(CommitState& state,
     const Protocol& protocol, const CommitState& state, std::size_t from,
     NoiseRegime regime);
 
-// For scheduled (broadcast-like) protocols: fills every party's owner
-// records for chunk rounds [start, start + chunk_len) straight from the
-// pre-assigned schedule, in place of Algorithm 1's owner-finding phase.
-void InjectScheduleOwners(ChunkAttempt& attempt,
-                          const std::vector<int>& schedule, int start);
+// The hierarchical scheme's audit schedule.  After the k-th commit it runs
+// a level-l audit for every l in [1, max_level] with 2^l dividing k; once
+// every chunk is committed, a final audit at level ceil(log2(max(k,2)))+2
+// gates termination.  A level-l audit uses base + l * slope flag
+// repetitions.
+struct AuditSchedule {
+  int base = 0;
+  int slope = 0;
+  int max_level = 0;
+};
 
-// Validates a schedule against a protocol: size == length, owners in
-// range, and in every round only the scheduled owner ever beeps (checked
-// by replaying the reference execution).  Throws on violation.
-void RequireValidSchedule(const Protocol& protocol,
-                          const std::vector<int>& schedule);
+// The rewind-if-error chunk loop, with the chunk parameters `scheme`
+// resolves for the protocol's n.  Per chunk attempt: simulate the chunk
+// (with the owner phase when the options call for one, or the schedule's
+// owners), append it to the committed state, verify, exchange flags, and
+// commit or rewind on party 0's verdict.  With `audits` (the hierarchical
+// scheme) the loop also runs the schedule's audits and ends at a passed
+// final audit; without (the flat scheme) it ends at its last commit.  The
+// budget of `max_rounds` is checked before every chunk attempt and, with
+// `audits`, before every final audit: the flat scheme's last commit may
+// overrun it without exhausting the run.  Faults are injected at the
+// round boundary.
+[[nodiscard]] SimulationResult RunChunkLoop(const Protocol& protocol,
+                                            const Channel& channel,
+                                            const FaultPlan& faults, Rng& rng,
+                                            const RewindSimulator& scheme,
+                                            std::int64_t max_rounds,
+                                            const AuditSchedule* audits);
 
 }  // namespace noisybeeps::internal
 

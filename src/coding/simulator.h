@@ -11,7 +11,8 @@
 // Simulators are written imperatively against protocol/round_engine.h; the
 // distributed discipline (party i's decisions depend only on party i's
 // input, local state, and the bits party i received) is maintained by code
-// structure: all cross-party information flows through RoundEngine::Round.
+// structure: all cross-party information flows through
+// RoundEngine::RoundWords.
 //
 // Beyond channel noise, every simulator also accepts a FaultPlan
 // (fault/fault_plan.h): a deterministic description of misbehaving parties

@@ -1,5 +1,8 @@
 #include "coding/verification.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -34,25 +37,66 @@ std::size_t FirstViolation(const Protocol& protocol, int party_index,
   return transcript.size();
 }
 
+std::vector<std::uint8_t> RepeatRound(RoundEngine& engine,
+                                      std::span<const std::uint64_t> beeps,
+                                      int reps, FlagRule rule) {
+  NB_REQUIRE(reps >= 1, "repetitions must be positive");
+  const std::int64_t n = engine.num_parties();
+  const std::size_t words = WordsForParties(n);
+  // Every party's count of received 1s, bit-sliced: plane k holds bit k of
+  // the counts, 64 parties per word, so a round adds into all counts with
+  // a ripple carry over the planes instead of a loop over the parties.
+  // Counts never exceed reps < 2^num_planes.
+  const int num_planes = std::bit_width(static_cast<unsigned>(reps));
+  std::vector<std::uint64_t> planes(words * num_planes, 0);
+  for (int t = 0; t < reps; ++t) {
+    const std::span<const std::uint64_t> received = engine.RoundWords(beeps);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t carry = received[w];
+      for (int k = 0; carry != 0 && k < num_planes; ++k) {
+        std::uint64_t& plane = planes[k * words + w];
+        const std::uint64_t next = plane & carry;
+        plane ^= carry;
+        carry = next;
+      }
+    }
+  }
+  // A party decodes 1 iff its count reaches the rule's threshold: half the
+  // repetitions rounded up for kMajority (2 * count >= reps), one for
+  // kAnyOne.  Compared 64 counts at a time, from the top plane down.
+  const unsigned threshold =
+      rule == FlagRule::kMajority ? static_cast<unsigned>(reps + 1) / 2 : 1;
+  std::vector<std::uint8_t> decoded(static_cast<std::size_t>(n), 0);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t greater = 0;
+    std::uint64_t equal = ~std::uint64_t{0};
+    for (int k = num_planes - 1; k >= 0; --k) {
+      const std::uint64_t count_bit = planes[k * words + w];
+      const std::uint64_t threshold_bit =
+          ((threshold >> k) & 1u) != 0 ? ~std::uint64_t{0} : 0;
+      greater |= equal & count_bit & ~threshold_bit;
+      equal &= ~(count_bit ^ threshold_bit);
+    }
+    const std::uint64_t ones = greater | equal;
+    const std::size_t base = w * kWordBits;
+    const std::size_t lanes =
+        std::min<std::size_t>(kWordBits, decoded.size() - base);
+    for (std::size_t b = 0; b < lanes; ++b) {
+      decoded[base + b] = static_cast<std::uint8_t>((ones >> b) & 1u);
+    }
+  }
+  return decoded;
+}
+
 std::vector<std::uint8_t> CommunicateFlags(RoundEngine& engine,
                                            const std::vector<std::uint8_t>& flags,
                                            int reps, FlagRule rule) {
-  const auto n = static_cast<int>(engine.num_parties());
-  NB_REQUIRE(static_cast<int>(flags.size()) == n, "one flag per party");
+  NB_REQUIRE(static_cast<std::int64_t>(flags.size()) == engine.num_parties(),
+             "one flag per party");
   NB_REQUIRE(reps >= 1, "flag repetitions must be positive");
-  std::vector<std::size_t> ones(n, 0);
-  for (int t = 0; t < reps; ++t) {
-    const auto received = engine.Round(flags);
-    for (int i = 0; i < n; ++i) ones[i] += received[i];
-  }
-  std::vector<std::uint8_t> verdict(n, 0);
-  for (int i = 0; i < n; ++i) {
-    const bool raised = rule == FlagRule::kMajority
-                            ? 2 * ones[i] >= static_cast<std::size_t>(reps)
-                            : ones[i] > 0;
-    verdict[i] = raised ? 1 : 0;
-  }
-  return verdict;
+  std::vector<std::uint64_t> beeps(WordsForParties(engine.num_parties()), 0);
+  PackBits(flags, beeps);
+  return RepeatRound(engine, beeps, reps, rule);
 }
 
 std::vector<std::size_t> BinarySearchVerifiedPrefix(

@@ -23,6 +23,8 @@
 #ifndef NOISYBEEPS_CODING_VERIFICATION_H_
 #define NOISYBEEPS_CODING_VERIFICATION_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "protocol/protocol.h"
@@ -55,6 +57,15 @@ enum class FlagRule {
                                          const std::vector<int>& owners,
                                          NoiseRegime regime,
                                          std::size_t from = 0);
+
+// Runs `reps` noisy rounds of the same packed beeps (as for
+// RoundEngine::RoundWords) and returns each party's decoded bit under
+// `rule`.  The repetition code of every repeated phase: chunk simulation,
+// the repetition simulator, and the flag exchanges below.
+// Precondition: reps >= 1.
+[[nodiscard]] std::vector<std::uint8_t> RepeatRound(
+    RoundEngine& engine, std::span<const std::uint64_t> beeps, int reps,
+    FlagRule rule);
 
 // One flag exchange: parties with flag != 0 beep in each of `reps` rounds;
 // returns each party's decoded verdict under `rule`.

@@ -20,59 +20,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::int64_t num_parties)
   }
 }
 
-void FaultInjector::ApplySend(std::int64_t round,
-                              std::span<std::uint8_t> beeps) {
-  for (std::size_t k = 0; k < specs_.size(); ++k) {
-    const FaultSpec& spec = specs_[k];
-    if (!spec.ActiveAt(round)) continue;
-    switch (spec.kind) {
-      case FaultKind::kCrashStop:
-      case FaultKind::kSleepy:
-        beeps[spec.party] = 0;
-        break;
-      case FaultKind::kStuckBeeper:
-        beeps[spec.party] = 1;
-        break;
-      case FaultKind::kBabbler:
-        beeps[spec.party] = babbler_rngs_[k].Bernoulli(spec.beep_prob) ? 1 : 0;
-        break;
-      case FaultKind::kDeafReceiver:
-        break;  // send side untouched
-    }
-  }
-}
-
-void FaultInjector::ApplyReceive(std::int64_t round,
-                                 std::span<std::uint8_t> received) {
-  for (const FaultSpec& spec : specs_) {
-    if (!spec.ActiveAt(round)) continue;
-    switch (spec.kind) {
-      case FaultKind::kCrashStop:
-      case FaultKind::kSleepy:
-      case FaultKind::kDeafReceiver:
-        received[spec.party] = 0;
-        break;
-      case FaultKind::kStuckBeeper:
-      case FaultKind::kBabbler:
-        break;  // receive side untouched
-    }
-  }
-}
-
-namespace {
-
-inline void SetPackedBit(std::span<std::uint64_t> words, std::int64_t i,
-                         bool value) {
-  const std::uint64_t mask = std::uint64_t{1} << (i % 64);
-  if (value) {
-    words[static_cast<std::size_t>(i / 64)] |= mask;
-  } else {
-    words[static_cast<std::size_t>(i / 64)] &= ~mask;
-  }
-}
-
-}  // namespace
-
 void FaultInjector::ApplySendWords(std::int64_t round,
                                    std::span<std::uint64_t> beeps) {
   for (std::size_t k = 0; k < specs_.size(); ++k) {
@@ -87,8 +34,8 @@ void FaultInjector::ApplySendWords(std::int64_t round,
         SetPackedBit(beeps, spec.party, true);
         break;
       case FaultKind::kBabbler:
-        // The draw happens unconditionally (as in ApplySend): the babbler
-        // stream position stays a function of the round index alone.
+        // The draw happens unconditionally: the babbler stream position
+        // stays a function of the round index alone.
         SetPackedBit(beeps, spec.party,
                      babbler_rngs_[k].Bernoulli(spec.beep_prob));
         break;
@@ -120,30 +67,17 @@ FaultyRoundEngine::FaultyRoundEngine(const Channel& channel, Rng& rng,
                                      const FaultPlan& plan)
     : RoundEngine(channel, rng, num_parties),
       injector_(plan, num_parties),
-      faulted_beeps_(static_cast<std::size_t>(num_parties), 0),
-      faulted_received_(static_cast<std::size_t>(num_parties), 0),
       faulted_beep_words_(WordsForParties(num_parties), 0),
       faulted_received_words_(WordsForParties(num_parties), 0) {
   NB_REQUIRE(plan.MaxParty() < num_parties,
              "fault plan names a party the engine does not have");
 }
 
-std::span<const std::uint8_t> FaultyRoundEngine::Round(
-    std::span<const std::uint8_t> beeps) {
-  if (!injector_.active()) return RoundEngine::Round(beeps);
-  const std::int64_t round = rounds_used();
-  std::copy(beeps.begin(), beeps.end(), faulted_beeps_.begin());
-  injector_.ApplySend(round, faulted_beeps_);
-  const std::span<const std::uint8_t> received =
-      RoundEngine::Round(faulted_beeps_);
-  std::copy(received.begin(), received.end(), faulted_received_.begin());
-  injector_.ApplyReceive(round, faulted_received_);
-  return faulted_received_;
-}
-
 std::span<const std::uint64_t> FaultyRoundEngine::RoundWords(
     std::span<const std::uint64_t> beep_words) {
   if (!injector_.active()) return RoundEngine::RoundWords(beep_words);
+  // Validate before the copy: the buffers are sized for num_parties().
+  CheckBeepWords(beep_words);
   const std::int64_t round = rounds_used();
   std::copy(beep_words.begin(), beep_words.end(),
             faulted_beep_words_.begin());
@@ -158,44 +92,8 @@ std::span<const std::uint64_t> FaultyRoundEngine::RoundWords(
 
 ExecutionResult Execute(const Protocol& protocol, const Channel& channel,
                         const FaultPlan& plan, Rng& rng) {
-  const int n = protocol.num_parties();
-  NB_REQUIRE(plan.MaxParty() < n,
-             "fault plan names a party the protocol does not have");
-  FaultInjector injector(plan, n);
-
-  ExecutionResult result;
-  result.transcripts.assign(n, BitString());
-  for (BitString& transcript : result.transcripts) {
-    transcript.Reserve(static_cast<std::size_t>(protocol.length()));
-  }
-  // Delivery runs on the packed word representation in stream-compat
-  // mode, exactly as the fault-free Execute (protocol/executor.cc): with
-  // an empty plan the two are bit-for-bit identical.
-  std::vector<std::uint8_t> beeps(n, 0);
-  std::vector<std::uint8_t> received(n, 0);
-  std::vector<std::uint64_t> received_words(WordsForParties(n), 0);
-  for (int m = 0; m < protocol.length(); ++m) {
-    for (int i = 0; i < n; ++i) {
-      beeps[i] = protocol.party(i).ChooseBeep(result.transcripts[i]) ? 1 : 0;
-    }
-    if (injector.active()) injector.ApplySend(m, beeps);
-    std::int64_t num_beepers = 0;
-    for (std::uint8_t b : beeps) num_beepers += b != 0;
-    channel.DeliverWords(num_beepers, received_words, n,
-                         WordMode::kStreamCompat, rng);
-    UnpackBits(received_words, received);
-    if (injector.active()) injector.ApplyReceive(m, received);
-    for (int i = 0; i < n; ++i) {
-      result.transcripts[i].PushBack(received[i] != 0);
-    }
-  }
-
-  result.outputs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    result.outputs.push_back(
-        protocol.party(i).ComputeOutput(result.transcripts[i]));
-  }
-  return result;
+  FaultyRoundEngine engine(channel, rng, protocol.num_parties(), plan);
+  return Execute(protocol, engine);
 }
 
 }  // namespace noisybeeps

@@ -1,9 +1,9 @@
 // Applying a FaultPlan to an execution.
 //
 // Faults are injected at the round boundary, never inside a Channel:
-// send-side faults rewrite a party's beep decision BEFORE the channel sees
-// the beeper count, and receive-side faults rewrite the party's received
-// bit AFTER Deliver.  Channel implementations therefore stay untouched and
+// send-side faults rewrite a party's beep bit BEFORE the channel sees the
+// beeper count, and receive-side faults rewrite the party's received bit
+// AFTER delivery.  Channel implementations therefore stay untouched and
 // compose freely with every fault kind (a babbler over a burst channel is
 // just both layers doing their job).
 //
@@ -12,11 +12,10 @@
 //                 plan seed, never from the channel rng)
 //   receive side  crash/sleepy/deaf -> 0
 //
-// FaultyRoundEngine is the simulators' injection point: a RoundEngine that
-// applies the plan around every noisy round.  With an empty plan it
-// delegates straight to RoundEngine -- the zero-fault no-op the golden
-// test pins down.  Execute(protocol, channel, plan, rng) is the same for
-// direct (uncoded) execution.
+// FaultyRoundEngine is the injection point: a RoundEngine that applies the
+// plan around every noisy round, for the simulators and for direct
+// (uncoded) execution alike.  With an empty plan it delegates straight to
+// RoundEngine -- the zero-fault no-op the golden test pins down.
 //
 // Overlapping specs compose in plan order: each active spec rewrites the
 // value in turn, so the LAST active spec for a (party, round) wins.  A
@@ -49,17 +48,11 @@ class FaultInjector {
   // inactive injector's Apply* calls are skipped entirely).
   [[nodiscard]] bool active() const { return !specs_.empty(); }
 
-  // Rewrites beep decisions for noisy round `round` in place.
-  void ApplySend(std::int64_t round, std::span<std::uint8_t> beeps);
-  // Rewrites received bits for noisy round `round` in place.
-  void ApplyReceive(std::int64_t round, std::span<std::uint8_t> received);
-
-  // Word-packed counterparts (bit i of word w is party w*64+i).  A fault
-  // touches single bits, so the cost is per active spec, not per party --
-  // the mega-n word path keeps its word-parallel round cost.  Babbler
-  // streams advance identically to the scalar path: the same plan over
-  // the same rounds rewrites the same bits on either representation.
+  // Rewrites the packed beep bits (bit i of word w is party w*64+i) for
+  // noisy round `round` in place.  A fault touches single bits, so the
+  // cost is per active spec, not per party.
   void ApplySendWords(std::int64_t round, std::span<std::uint64_t> beeps);
+  // Rewrites the packed received bits for noisy round `round` in place.
   void ApplyReceiveWords(std::int64_t round,
                          std::span<std::uint64_t> received);
 
@@ -79,23 +72,19 @@ class FaultyRoundEngine final : public RoundEngine {
   FaultyRoundEngine(const Channel& channel, Rng& rng,
                     std::int64_t num_parties, const FaultPlan& plan);
 
-  std::span<const std::uint8_t> Round(
-      std::span<const std::uint8_t> beeps) override;
   std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words) override;
 
  private:
   FaultInjector injector_;
-  std::vector<std::uint8_t> faulted_beeps_;
-  std::vector<std::uint8_t> faulted_received_;
   std::vector<std::uint64_t> faulted_beep_words_;
   std::vector<std::uint64_t> faulted_received_words_;
 };
 
 // Fault-aware counterpart of Execute (protocol/executor.h): runs
-// `protocol` for its full length over `channel` with `plan` injected
-// around every round.  With an empty plan this reproduces
-// Execute(protocol, channel, rng) bit-for-bit.
+// `protocol` for its full length over `channel` on a FaultyRoundEngine.
+// With an empty plan this reproduces Execute(protocol, channel, rng)
+// bit-for-bit.
 // Preconditions: plan.MaxParty() < protocol.num_parties().
 [[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
                                       const Channel& channel,

@@ -441,15 +441,23 @@ void CheckCheckpointAtomicity(const RepoModel& repo,
 // --- channel-hot-path -------------------------------------------------------
 
 void CheckChannelHotPath(const RepoModel& repo, std::vector<Finding>& out) {
-  // Channel::Deliver is the Monte Carlo inner loop: one call per noisy
-  // round, one coin flip per listener.  Per-sample rng.Bernoulli(p) /
-  // UniformDouble() < p re-derives the fixed-point threshold on every
-  // draw; channels must precompute a BernoulliSampler member instead,
-  // which is bit-identical (see util/rng.h) and one integer compare.
+  // Channel delivery is the Monte Carlo inner loop: one call per noisy
+  // round.  A channel draws in DeliverWords, in a shared-draw channel's
+  // SharedOutcome, or (for a decorator) in Deliver.  Every draw there goes
+  // through a precomputed sampler from util/rng.h: BernoulliSampler is
+  // bit-identical to rng.Bernoulli(p) at one integer compare per draw, and
+  // BernoulliWordSampler / GeometricSkipSampler batch the fast word mode.
+  // A per-sample Bernoulli / UniformDouble() < p re-derives the
+  // fixed-point threshold on every draw, and in the word path restores the
+  // per-bit cost the batching exists to avoid.
   for (const FileModel& file : repo.files()) {
     if (!file.path().starts_with("src/channel/")) continue;
     for (const FunctionInfo& fn : file.functions()) {
-      if (fn.name != "Deliver" || !fn.is_definition) continue;
+      if (!fn.is_definition ||
+          (fn.name != "Deliver" && fn.name != "DeliverWords" &&
+           fn.name != "SharedOutcome")) {
+        continue;
+      }
       const std::vector<std::size_t>& code = file.code();
       for (std::size_t ci = 0; ci < code.size(); ++ci) {
         if (file.code()[ci] <= fn.body_begin) continue;
@@ -462,46 +470,11 @@ void CheckChannelHotPath(const RepoModel& repo, std::vector<Finding>& out) {
         if (ci > 0 && Tok(file, ci - 1).text == "::") continue;
         out.push_back(
             {file.path(), t.line, "channel-hot-path",
-             t.text +
-                 " inside a Deliver implementation: precompute a "
-                 "BernoulliSampler member (util/rng.h) -- bit-identical "
-                 "stream, one integer compare per draw"});
-      }
-    }
-  }
-}
-
-// --- word-path-batched-sampling ---------------------------------------------
-
-void CheckWordPathBatchedSampling(const RepoModel& repo,
-                                  std::vector<Finding>& out) {
-  // DeliverWords is the word-parallel round hot path: one call covers 64
-  // listeners per word.  A per-bit rng.Bernoulli(p) / UniformDouble() < p
-  // inside it defeats the batching the path exists for; draws must go
-  // through the precomputed samplers (BernoulliSampler for the
-  // stream-compat replay, BernoulliWordSampler / GeometricSkipSampler for
-  // the batched fast mode -- all in util/rng.h).
-  for (const FileModel& file : repo.files()) {
-    if (!file.path().starts_with("src/channel/")) continue;
-    for (const FunctionInfo& fn : file.functions()) {
-      if (fn.name != "DeliverWords" || !fn.is_definition) continue;
-      const std::vector<std::size_t>& code = file.code();
-      for (std::size_t ci = 0; ci < code.size(); ++ci) {
-        if (file.code()[ci] <= fn.body_begin) continue;
-        if (file.code()[ci] >= fn.body_end) break;
-        const Token& t = Tok(file, ci);
-        if (t.kind != TokenKind::kIdentifier ||
-            (t.text != "UniformDouble" && t.text != "Bernoulli")) {
-          continue;
-        }
-        if (ci > 0 && Tok(file, ci - 1).text == "::") continue;
-        out.push_back(
-            {file.path(), t.line, "word-path-batched-sampling",
-             t.text +
-                 " inside a DeliverWords implementation: the word path "
-                 "must batch its noise draws through BernoulliSampler / "
-                 "BernoulliWordSampler / GeometricSkipSampler (util/rng.h) "
-                 "instead of drawing per bit"});
+             t.text + " inside a " + fn.name +
+                 " implementation: draw through a precomputed "
+                 "BernoulliSampler / BernoulliWordSampler / "
+                 "GeometricSkipSampler (util/rng.h) -- bit-identical "
+                 "stream, no per-draw threshold"});
       }
     }
   }
@@ -784,17 +757,30 @@ std::vector<Rule> BuildRegistry() {
       "whole experiment a pure function of the seed."});
   rules.push_back(Rule{
       "channel-hot-path", Severity::kError, "performance",
-      "Channel Deliver bodies must draw through a precomputed "
-      "BernoulliSampler, not per-sample UniformDouble()/Bernoulli().",
+      "Channel Deliver, DeliverWords and SharedOutcome bodies must draw "
+      "through the precomputed samplers in util/rng.h, not per-sample "
+      "UniformDouble()/Bernoulli().",
       CheckChannelHotPath,
-      {F("src/channel/fixture.cc",
+      {F("src/channel/fixture_deliver.cc",
          "struct Chan {\n"
          "  bool Deliver(double p) { return rng_.Bernoulli(p); }\n"
+         "};\n"),
+       F("src/channel/fixture_words.cc",
+         "struct Chan {\n"
+         "  void DeliverWords(double p) {\n"
+         "    if (rng_.Bernoulli(p)) bits_ ^= 1;\n"
+         "  }\n"
+         "};\n"),
+       F("src/channel/fixture_shared.cc",
+         "struct Chan {\n"
+         "  bool SharedOutcome(double p) { return rng_.UniformDouble() < p; }\n"
          "};\n")},
-      "Deliver runs once per slot per trial -- billions of times in a "
-      "sweep.  PR 4 moved it to stream-identical fixed-point sampling; "
-      "this rule keeps per-sample floating-point draws from creeping "
-      "back into the hot path."});
+      "Delivery runs once per round per trial -- billions of times in a "
+      "sweep -- and a fast word round covers a million listeners in "
+      "thousands of draws.  Stream-identical fixed-point samplers and "
+      "batched word sampling are what keep it that cheap; this rule keeps "
+      "per-sample floating-point draws from creeping back into any of the "
+      "three functions a channel draws in."});
   rules.push_back(Rule{
       "checkpoint-atomicity", Severity::kError, "robustness",
       "Checkpoint files must be written via WriteCheckpointAtomic "
@@ -1091,23 +1077,6 @@ std::vector<Rule> BuildRegistry() {
          "int Zero() { return 0; }  // NBLINT(no-such-rule): spurious\n")},
       "A typo'd rule id would otherwise leave the author believing a "
       "finding is handled while the engine ignores the comment."});
-  rules.push_back(Rule{
-      "word-path-batched-sampling", Severity::kError, "performance",
-      "Channel DeliverWords bodies must not draw per-bit via "
-      "Rng::Bernoulli/UniformDouble; use the batched samplers in "
-      "util/rng.h.",
-      CheckWordPathBatchedSampling,
-      {F("src/channel/fixture.cc",
-         "struct Chan {\n"
-         "  void DeliverWords(double p) {\n"
-         "    if (rng_.Bernoulli(p)) bits_ ^= 1;\n"
-         "  }\n"
-         "};\n")},
-      "DeliverWords exists so a round over a million parties costs "
-      "thousands of draws, not a million: geometric skip-sampling for "
-      "sparse noise, bit-sliced word draws otherwise.  One per-bit "
-      "Bernoulli inside it silently restores the scalar cost while the "
-      "benchmarks still say 'word path'."});
   return rules;
 }
 

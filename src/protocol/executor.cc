@@ -4,35 +4,28 @@
 
 namespace noisybeeps {
 
-ExecutionResult Execute(const Protocol& protocol, const Channel& channel,
-                        Rng& rng) {
+ExecutionResult Execute(const Protocol& protocol, RoundEngine& engine) {
   const int n = protocol.num_parties();
+  NB_REQUIRE(engine.num_parties() == n,
+             "round engine sized for a different party count");
   ExecutionResult result;
   result.transcripts.assign(n, BitString());
   for (BitString& transcript : result.transcripts) {
     transcript.Reserve(static_cast<std::size_t>(protocol.length()));
   }
 
-  // Delivery runs on the packed word representation in stream-compat
-  // mode: draw-for-draw identical to the historical byte path (the golden
-  // regression tests hold this to account), one word per 64 parties.
-  std::vector<std::uint8_t> beeps(n, 0);
-  std::vector<std::uint8_t> received(n, 0);
-  std::vector<std::uint64_t> received_words(WordsForParties(n), 0);
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
   for (int m = 0; m < protocol.length(); ++m) {
-    std::int64_t num_beepers = 0;
     for (int i = 0; i < n; ++i) {
       // Each party decides from ITS OWN transcript; under correlated
       // channels all transcripts coincide, so this is equivalent to the
       // shared-transcript formulation.
-      beeps[i] = protocol.party(i).ChooseBeep(result.transcripts[i]) ? 1 : 0;
-      num_beepers += beeps[i];
+      SetPackedBit(beeps, i,
+                   protocol.party(i).ChooseBeep(result.transcripts[i]));
     }
-    channel.DeliverWords(num_beepers, received_words, n,
-                         WordMode::kStreamCompat, rng);
-    UnpackBits(received_words, received);
+    const std::span<const std::uint64_t> received = engine.RoundWords(beeps);
     for (int i = 0; i < n; ++i) {
-      result.transcripts[i].PushBack(received[i] != 0);
+      result.transcripts[i].PushBack(PackedBit(received, i));
     }
   }
 
@@ -42,6 +35,12 @@ ExecutionResult Execute(const Protocol& protocol, const Channel& channel,
         protocol.party(i).ComputeOutput(result.transcripts[i]));
   }
   return result;
+}
+
+ExecutionResult Execute(const Protocol& protocol, const Channel& channel,
+                        Rng& rng) {
+  RoundEngine engine(channel, rng, protocol.num_parties());
+  return Execute(protocol, engine);
 }
 
 }  // namespace noisybeeps

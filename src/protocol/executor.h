@@ -13,6 +13,7 @@
 
 #include "channel/channel.h"
 #include "protocol/protocol.h"
+#include "protocol/round_engine.h"
 
 namespace noisybeeps {
 
@@ -26,7 +27,15 @@ struct ExecutionResult {
   [[nodiscard]] const BitString& shared() const { return transcripts.front(); }
 };
 
-// Runs `protocol` for its full length over `channel`.
+// Runs `protocol` for its full length, one engine round per protocol
+// round: the engine's channel, rng and any fault wrapping decide what each
+// party receives.  Precondition: engine.num_parties() ==
+// protocol.num_parties().
+[[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
+                                      RoundEngine& engine);
+
+// Runs `protocol` for its full length over `channel`, in stream-compat
+// mode.
 [[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
                                       const Channel& channel, Rng& rng);
 

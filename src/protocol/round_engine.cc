@@ -8,46 +8,47 @@ namespace noisybeeps {
 
 RoundEngine::RoundEngine(const Channel& channel, Rng& rng,
                          std::int64_t num_parties)
-    : channel_(&channel), rng_(&rng), num_parties_(num_parties) {
+    : channel_(&channel),
+      rng_(&rng),
+      num_parties_(num_parties),
+      received_words_(WordsForParties(num_parties), 0) {
   NB_REQUIRE(num_parties >= 1, "need at least one party");
-  // Buffers are lazily sized on first use: a word-path run of a mega-n
-  // engine never pays for the byte-per-party scalar buffer, and vice
-  // versa.
+}
+
+void RoundEngine::CheckBeepWords(
+    std::span<const std::uint64_t> beep_words) const {
+  NB_REQUIRE(beep_words.size() == WordsForParties(num_parties_),
+             "beep word span has wrong size");
+  NB_REQUIRE((beep_words.back() & ~TailWordMask(num_parties_)) == 0,
+             "beep word tail bits past num_parties must be zero");
+}
+
+std::span<const std::uint64_t> RoundEngine::RoundWords(
+    std::span<const std::uint64_t> beep_words) {
+  CheckBeepWords(beep_words);
+  std::int64_t num_beepers = 0;
+  for (std::uint64_t w : beep_words) num_beepers += std::popcount(w);
+  channel_->DeliverWords(num_beepers, received_words_, num_parties_,
+                         word_mode_, *rng_);
+  ++rounds_used_;
+  // Resolve the phase counter at most once per SetPhase, not per round:
+  // a phase gets a map entry only once a round actually runs under it
+  // (so phase_rounds() never reports zero-round phases), and every later
+  // round is a plain pointer increment instead of a string-keyed lookup.
+  if (phase_counter_ == nullptr) phase_counter_ = &phase_rounds_[phase_];
+  ++*phase_counter_;
+  return received_words_;
 }
 
 std::span<const std::uint8_t> RoundEngine::Round(
     std::span<const std::uint8_t> beeps) {
   NB_REQUIRE(static_cast<std::int64_t>(beeps.size()) == num_parties_,
              "beeps vector has wrong size");
-  if (received_.size() != beeps.size()) received_.assign(beeps.size(), 0);
-  std::int64_t num_beepers = 0;
-  for (std::uint8_t b : beeps) num_beepers += b != 0;
-  channel_->Deliver(num_beepers, received_, *rng_);
-  AccountRound();
+  beep_words_.resize(received_words_.size());
+  received_.resize(beeps.size());
+  PackBits(beeps, beep_words_);
+  UnpackBits(RoundWords(beep_words_), received_);
   return received_;
-}
-
-std::span<const std::uint64_t> RoundEngine::RoundWords(
-    std::span<const std::uint64_t> beep_words) {
-  NB_REQUIRE(beep_words.size() == WordsForParties(num_parties_),
-             "beep word span has wrong size");
-  NB_REQUIRE((beep_words.back() & ~TailWordMask(num_parties_)) == 0,
-             "beep word tail bits past num_parties must be zero");
-  if (received_words_.size() != beep_words.size()) {
-    received_words_.assign(beep_words.size(), 0);
-  }
-  std::int64_t num_beepers = 0;
-  for (std::uint64_t w : beep_words) num_beepers += std::popcount(w);
-  channel_->DeliverWords(num_beepers, received_words_, num_parties_,
-                         word_mode_, *rng_);
-  AccountRound();
-  return received_words_;
-}
-
-bool RoundEngine::RoundShared(std::span<const std::uint8_t> beeps) {
-  NB_REQUIRE(channel_->is_correlated(),
-             "RoundShared requires a correlated channel");
-  return Round(beeps)[0] != 0;
 }
 
 }  // namespace noisybeeps

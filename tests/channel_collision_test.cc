@@ -19,7 +19,7 @@ TEST(CollisionChannel, ValidatesParameters) {
 TEST(CollisionChannel, LoneTransmitterHeardCollisionSilenced) {
   const CollisionAsSilenceChannel channel(0.0);
   Rng rng(1);
-  std::vector<std::uint8_t> received(3, 0);
+  std::vector<std::uint8_t> received(7, 0);
   channel.Deliver(0, received, rng);
   EXPECT_EQ(received[0], 0);
   channel.Deliver(1, received, rng);
@@ -33,7 +33,7 @@ TEST(CollisionChannel, LoneTransmitterHeardCollisionSilenced) {
 TEST(CollisionChannel, NoiseFlipsAtRate) {
   const CollisionAsSilenceChannel channel(0.2);
   Rng rng(2);
-  std::vector<std::uint8_t> received(1, 0);
+  std::vector<std::uint8_t> received(2, 0);
   int heard = 0;
   constexpr int kTrials = 60000;
   for (int t = 0; t < kTrials; ++t) {

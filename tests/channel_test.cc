@@ -146,13 +146,5 @@ TEST(SharedRandomnessAdapter, StaysCorrelated) {
   }
 }
 
-TEST(ChannelBase, DeliverSharedRequiresCorrelation) {
-  IndependentNoisyChannel channel(0.1);
-  Rng rng(12);
-  EXPECT_THROW((void)channel.DeliverShared(true, rng), std::invalid_argument);
-  CorrelatedNoisyChannel ok(0.1);
-  EXPECT_NO_THROW((void)ok.DeliverShared(true, rng));
-}
-
 }  // namespace
 }  // namespace noisybeeps

@@ -1,10 +1,10 @@
 // The word-parallel delivery path (DeliverWords / RoundWords).
 //
 // Three contracts are held to account here:
-//   1. stream-compat is the scalar path: for EVERY channel, DeliverWords
-//      in kStreamCompat mode produces bit-identical results AND leaves
-//      the rng in the identical state as packing the scalar Deliver --
-//      same seed, same draws, same bits.
+//   1. the byte adapter is the word path: for EVERY channel, Deliver
+//      produces the bits of DeliverWords in kStreamCompat mode AND leaves
+//      the rng in the identical state -- same seed, same draws, same bits
+//      (channel_stream_test.cc pins that stream to the historical one).
 //   2. shared-draw channels cannot tell the modes apart: one draw per
 //      round either way, so kFast == kStreamCompat == scalar for all of
 //      them by construction.
@@ -218,10 +218,10 @@ TEST(ChannelWords, FastIndependentSkipWalkStraddlesWordsWithoutDoubleDraw) {
   EXPECT_EQ(rng_a.SaveState(), rng_b.SaveState());
 }
 
-TEST(ChannelWords, BaseClassFallbackPacksScalarDeliver) {
-  // RecordingChannel exercises DeliverWords forwarding; a channel without
-  // an override exercises the base-class pack fallback.  Both must agree
-  // with the scalar path bit for bit.
+TEST(ChannelWords, ByteAdapterAgreesThroughADecorator) {
+  // RecordingChannel forwards DeliverWords to its inner channel and
+  // inherits the base-class byte adapter; the two views must agree bit
+  // for bit.
   const CorrelatedNoisyChannel scalar_inner(0.1);
   const CorrelatedNoisyChannel word_inner(0.1);
   for (const std::int64_t n : kPartyCounts) {

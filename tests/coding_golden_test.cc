@@ -1,0 +1,212 @@
+// Golden matrix for the coding layer: exact seeded outcomes of every
+// simulator on the channels and fault plans it runs under.
+//
+// Each cell runs one Simulate call and pins a single FNV-1a digest over
+// everything the run produced: every party's transcript and owner records,
+// noisy_rounds_used, phase_rounds, the verdict fields, and the Rng state
+// after the run (so a change that consumes the stream differently fails
+// even when the transcripts happen to agree).  n = 65 crosses a 64-party
+// word boundary.  A refactor of the round representation, the chunk loop,
+// or the fault wrapper must leave every digest unchanged; an intentional
+// change of behaviour re-pins the matrix and says why.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "coding/hierarchical_sim.h"
+#include "coding/rewind_sim.h"
+#include "fault/fault_plan.h"
+#include "resilience/checkpoint.h"
+#include "service/workload.h"
+#include "tasks/input_set.h"
+#include "util/rng.h"
+
+namespace noisybeeps {
+namespace {
+
+using resilience::AppendBytes;
+using resilience::AppendU64;
+
+constexpr std::uint64_t kSeed = 7;
+constexpr std::uint64_t kFaultSeed = 11;
+constexpr const char* kFaultPlan = "sleepy:2@200-600;babble:5@0-3000:0.3";
+
+void AppendBits(std::string& out, const BitString& bits) {
+  AppendU64(out, bits.size());
+  for (const std::uint64_t word : bits.words()) AppendU64(out, word);
+}
+
+std::uint64_t Digest(const SimulationResult& result, const Rng& rng) {
+  std::string out;
+  for (const BitString& transcript : result.transcripts) {
+    AppendBits(out, transcript);
+  }
+  for (const std::vector<int>& owners : result.owners) {
+    AppendU64(out, owners.size());
+    for (const int owner : owners) {
+      AppendU64(out, static_cast<std::uint64_t>(owner));
+    }
+  }
+  AppendU64(out, static_cast<std::uint64_t>(result.noisy_rounds_used));
+  for (const auto& [phase, rounds] : result.phase_rounds) {
+    AppendBytes(out, phase);
+    AppendU64(out, static_cast<std::uint64_t>(rounds));
+  }
+  const SimulationVerdict& verdict = result.verdict;
+  AppendU64(out, static_cast<std::uint64_t>(verdict.status));
+  AppendU64(out, verdict.budget_exhausted ? 1 : 0);
+  for (const int agreement : verdict.agreement) {
+    AppendU64(out, static_cast<std::uint64_t>(agreement));
+  }
+  AppendU64(out, static_cast<std::uint64_t>(verdict.majority_size));
+  AppendBits(out, verdict.majority_transcript);
+  AppendBytes(out, verdict.first_divergent_phase);
+  AppendU64(out, static_cast<std::uint64_t>(verdict.first_divergence_round));
+  for (const std::uint64_t word : rng.SaveState()) AppendU64(out, word);
+  return resilience::Fnv1a64(out);
+}
+
+struct Cell {
+  const char* name;
+  const char* sim;  // a service::MakeSimulator name
+  const char* task;
+  const char* channel;
+  int n;
+  bool faults;
+  std::uint64_t digest;
+};
+
+std::ostream& operator<<(std::ostream& os, const Cell& cell) {
+  return os << cell.name;
+}
+
+// clang-format off
+const Cell kCells[] = {
+    {"repetition_correlated_n8",          "repetition",   "input_set",    "correlated",  8,  false, 0xafe4de44a2fd5d45},
+    {"repetition_correlated_n8_faults",   "repetition",   "input_set",    "correlated",  8,  true,  0x7d84930f007f8dc0},
+    {"repetition_correlated_n65",         "repetition",   "input_set",    "correlated",  65, false, 0x2afcdf50d5779fd4},
+    {"repetition_correlated_n65_faults",  "repetition",   "input_set",    "correlated",  65, true,  0x2e3bc2953e4f3b86},
+    {"repetition_independent_n8",         "repetition",   "input_set",    "independent", 8,  false, 0x5fc00ee4937c1cc8},
+    {"repetition_independent_n8_faults",  "repetition",   "input_set",    "independent", 8,  true,  0x8f17f07b1e57dca1},
+    {"repetition_independent_n65",        "repetition",   "input_set",    "independent", 65, false, 0x7b48c5f226d37c02},
+    {"repetition_independent_n65_faults", "repetition",   "input_set",    "independent", 65, true,  0xe732ad6d1dc2ca8a},
+    {"repetition_burst_n8",               "repetition",   "input_set",    "burst",       8,  false, 0x922ac9511af2c23e},
+    {"repetition_burst_n8_faults",        "repetition",   "input_set",    "burst",       8,  true,  0x8f6dd10eb616c8f7},
+    {"repetition_burst_n65",              "repetition",   "input_set",    "burst",       65, false, 0xff274657787748c0},
+    {"repetition_burst_n65_faults",       "repetition",   "input_set",    "burst",       65, true,  0x9ae420f0b03c4a46},
+    {"rewind_correlated_n8",              "rewind",       "input_set",    "correlated",  8,  false, 0x907bf499ee133bf},
+    {"rewind_correlated_n8_faults",       "rewind",       "input_set",    "correlated",  8,  true,  0x5d720d3d93990018},
+    {"rewind_correlated_n65",             "rewind",       "input_set",    "correlated",  65, false, 0x758b983b0b0ee454},
+    {"rewind_correlated_n65_faults",      "rewind",       "input_set",    "correlated",  65, true,  0x28305231544cbe2d},
+    {"rewind_independent_n8",             "rewind",       "input_set",    "independent", 8,  false, 0xef850b106746bddf},
+    {"rewind_independent_n8_faults",      "rewind",       "input_set",    "independent", 8,  true,  0x3d98fb91e94cc0cb},
+    {"rewind_independent_n65",            "rewind",       "input_set",    "independent", 65, false, 0xd27f045047b73cc2},
+    {"rewind_independent_n65_faults",     "rewind",       "input_set",    "independent", 65, true,  0xf93da2b4ab0425a4},
+    {"rewind_burst_n8",                   "rewind",       "input_set",    "burst",       8,  false, 0x902bf7d0e0e0cb99},
+    {"rewind_burst_n8_faults",            "rewind",       "input_set",    "burst",       8,  true,  0x2aceeefc2fcb4983},
+    {"rewind_burst_n65",                  "rewind",       "input_set",    "burst",       65, false, 0xd39c2492fa1561fc},
+    {"rewind_burst_n65_faults",           "rewind",       "input_set",    "burst",       65, true,  0x9eaac100f0d63ef8},
+    {"rewind_down_down_n8",               "rewind_down",  "input_set",    "down",        8,  false, 0xa508daeca1e787e9},
+    {"rewind_down_down_n8_faults",        "rewind_down",  "input_set",    "down",        8,  true,  0x939dca4c9c6de7ff},
+    {"rewind_down_down_n65",              "rewind_down",  "input_set",    "down",        65, false, 0x4f224f874b1420aa},
+    {"rewind_down_down_n65_faults",       "rewind_down",  "input_set",    "down",        65, true,  0x6515fe4fe20fe932},
+    {"scheduled_correlated_n8",           "scheduled",    "bit_exchange", "correlated",  8,  false, 0x1389fce5c5b34152},
+    {"scheduled_correlated_n8_faults",    "scheduled",    "bit_exchange", "correlated",  8,  true,  0x4948f7712a8f8ad0},
+    {"scheduled_correlated_n65",          "scheduled",    "bit_exchange", "correlated",  65, false, 0xb5d2336faac5c9c2},
+    {"scheduled_correlated_n65_faults",   "scheduled",    "bit_exchange", "correlated",  65, true,  0xbe09730be166fce},
+    {"scheduled_independent_n8",          "scheduled",    "bit_exchange", "independent", 8,  false, 0x419b336ac926b334},
+    {"scheduled_independent_n8_faults",   "scheduled",    "bit_exchange", "independent", 8,  true,  0xd0aed69b81a0d660},
+    {"scheduled_independent_n65",         "scheduled",    "bit_exchange", "independent", 65, false, 0xa35a877631bed7bf},
+    {"scheduled_independent_n65_faults",  "scheduled",    "bit_exchange", "independent", 65, true,  0x749af56f0c16b9d5},
+    {"scheduled_burst_n8",                "scheduled",    "bit_exchange", "burst",       8,  false, 0x21e794fbf8f5cc3a},
+    {"scheduled_burst_n8_faults",         "scheduled",    "bit_exchange", "burst",       8,  true,  0x146ce55cc0cdd879},
+    {"scheduled_burst_n65",               "scheduled",    "bit_exchange", "burst",       65, false, 0x7658a17e60798a0c},
+    {"scheduled_burst_n65_faults",        "scheduled",    "bit_exchange", "burst",       65, true,  0x4c06a4bd7fd6a071},
+    {"hierarchical_correlated_n8",        "hierarchical", "input_set",    "correlated",  8,  false, 0xb70a07b41d1f9267},
+    {"hierarchical_correlated_n8_faults", "hierarchical", "input_set",    "correlated",  8,  true,  0x5d5e1fb65d2be78},
+    {"hierarchical_correlated_n65",       "hierarchical", "input_set",    "correlated",  65, false, 0x6160131983de2af2},
+    {"hierarchical_correlated_n65_faults","hierarchical", "input_set",    "correlated",  65, true,  0x35875f3ee9c43c},
+    {"hierarchical_independent_n8",       "hierarchical", "input_set",    "independent", 8,  false, 0x768c5bc4b2a29813},
+    {"hierarchical_independent_n8_faults","hierarchical", "input_set",    "independent", 8,  true,  0x8e1484240172a718},
+    {"hierarchical_independent_n65",      "hierarchical", "input_set",    "independent", 65, false, 0xa3047b5b17ed8b5a},
+    {"hierarchical_independent_n65_faults","hierarchical","input_set",    "independent", 65, true,  0xcb0887f7898d394a},
+    {"hierarchical_burst_n8",             "hierarchical", "input_set",    "burst",       8,  false, 0xdd99e0d012f314ea},
+    {"hierarchical_burst_n8_faults",      "hierarchical", "input_set",    "burst",       8,  true,  0x68f8f2a866cda77},
+    {"hierarchical_burst_n65",            "hierarchical", "input_set",    "burst",       65, false, 0x1c546c7f8859e728},
+    {"hierarchical_burst_n65_faults",     "hierarchical", "input_set",    "burst",       65, true,  0xd9690b7564a8763a},
+};
+// clang-format on
+
+class CodingGolden : public ::testing::TestWithParam<Cell> {};
+
+TEST_P(CodingGolden, DigestIsPinned) {
+  const Cell& cell = GetParam();
+  Rng rng(kSeed);
+  const service::Workload workload =
+      service::MakeWorkload(cell.task, cell.n, rng);
+  const std::string channel_name = cell.channel;
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel(channel_name, channel_name == "down" ? 0.1 : 0.05);
+  const std::unique_ptr<Simulator> sim =
+      service::MakeSimulator(cell.sim, cell.task, cell.n);
+  const FaultPlan faults =
+      cell.faults ? FaultPlan::Parse(kFaultPlan, kFaultSeed) : FaultPlan();
+  const SimulationResult result =
+      sim->Simulate(*workload.protocol, *channel, faults, rng);
+  EXPECT_EQ(Digest(result, rng), cell.digest)
+      << std::hex << "0x" << Digest(result, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CodingGolden, ::testing::ValuesIn(kCells),
+    [](const ::testing::TestParamInfo<Cell>& cell_info) {
+      return std::string(cell_info.param.name);
+    });
+
+// Budget edges.  Input set at n = 8 has T = 16 rounds in two 8-round
+// chunks of 580 noisy rounds each, so max_rounds = 870 lands inside the
+// last chunk.  The flat scheme checks its budget only before a chunk
+// attempt: its final commit completes the run past the budget without
+// exhausting it.  The hierarchical scheme checks again before its final
+// audit: the same budget exhausts it with every chunk committed and the
+// final audit never run.
+constexpr std::int64_t kEdgeBudget = 870;
+
+SimulationResult RunBudgetEdge(const Simulator& sim, Rng& rng) {
+  const InputSetInstance instance = SampleInputSet(8, rng);
+  const auto protocol = MakeInputSetProtocol(instance);
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel("correlated", 0.05);
+  return sim.Simulate(*protocol, *channel, rng);
+}
+
+TEST(CodingGoldenBudget, FlatFinalCommitIgnoresTheBudget) {
+  RewindSimOptions options;
+  options.max_rounds = kEdgeBudget;
+  Rng rng(kSeed);
+  const SimulationResult result =
+      RunBudgetEdge(RewindSimulator(options), rng);
+  EXPECT_FALSE(result.budget_exhausted());
+  EXPECT_EQ(result.noisy_rounds_used, 1160);
+  EXPECT_EQ(result.transcripts.front().size(), 16u);
+  EXPECT_EQ(Digest(result, rng), 0x907bf499ee133bfu)
+      << std::hex << "0x" << Digest(result, rng);
+}
+
+TEST(CodingGoldenBudget, HierarchicalChecksBeforeTheFinalAudit) {
+  HierarchicalSimOptions options;
+  options.base.max_rounds = kEdgeBudget;
+  Rng rng(kSeed);
+  const SimulationResult result =
+      RunBudgetEdge(HierarchicalSimulator(options), rng);
+  EXPECT_TRUE(result.budget_exhausted());
+  EXPECT_EQ(result.noisy_rounds_used, 1280);
+  EXPECT_EQ(result.transcripts.front().size(), 16u);
+  EXPECT_EQ(Digest(result, rng), 0xa3e0cabea03e0350u)
+      << std::hex << "0x" << Digest(result, rng);
+}
+
+}  // namespace
+}  // namespace noisybeeps

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "channel/correlated.h"
+#include "channel/independent.h"
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
 #include "tasks/input_set.h"
@@ -177,6 +181,42 @@ TEST(CommunicateFlags, AnyOneRuleIsExactUnderDownNoise) {
     heard += verdict[2] != 0;
   }
   EXPECT_GE(heard, 198);
+}
+
+// RepeatRound counts bit-sliced, 64 parties per word; it must decode
+// exactly what a per-party count of the same rounds decodes, under both
+// rules, for repetition counts on both sides of every power of two and a
+// party count that straddles a word boundary.
+TEST(RepeatRound, MatchesAPerPartyCount) {
+  const IndependentNoisyChannel channel(0.3);
+  const std::int64_t n = 130;
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
+  for (std::int64_t i = 0; i < n; i += 3) SetPackedBit(beeps, i, true);
+  for (const FlagRule rule : {FlagRule::kMajority, FlagRule::kAnyOne}) {
+    for (int reps = 1; reps <= 66; ++reps) {
+      Rng fast_rng(static_cast<std::uint64_t>(reps));
+      Rng ref_rng(static_cast<std::uint64_t>(reps));
+      RoundEngine fast(channel, fast_rng, n);
+      RoundEngine ref(channel, ref_rng, n);
+      const std::vector<std::uint8_t> decoded =
+          RepeatRound(fast, beeps, reps, rule);
+      std::vector<int> ones(static_cast<std::size_t>(n), 0);
+      for (int t = 0; t < reps; ++t) {
+        const auto received = ref.RoundWords(beeps);
+        for (std::int64_t i = 0; i < n; ++i) {
+          ones[static_cast<std::size_t>(i)] += PackedBit(received, i);
+        }
+      }
+      for (std::int64_t i = 0; i < n; ++i) {
+        const int count = ones[static_cast<std::size_t>(i)];
+        const bool expected =
+            rule == FlagRule::kMajority ? 2 * count >= reps : count > 0;
+        ASSERT_EQ(decoded[static_cast<std::size_t>(i)] != 0, expected)
+            << "reps=" << reps << " party=" << i;
+      }
+      EXPECT_EQ(fast.rounds_used(), reps);
+    }
+  }
 }
 
 TEST(BinarySearchVerifiedPrefix, FindsMinimumViolationNoiselessly) {

@@ -165,6 +165,27 @@ TEST(FaultyRoundEngine, OverlappingSpecsComposeInPlanOrder) {
   EXPECT_EQ(OneRound(engine2, {0, 0}), (std::vector<std::uint8_t>{0, 1}));
 }
 
+TEST(FaultyRoundEngine, ActivePlanValidatesTheBeepSpanBeforeUsingIt) {
+  // The engine copies the caller's words into buffers sized for
+  // num_parties(): the span must be checked first, exactly as a plain
+  // RoundEngine checks it.
+  const NoiselessChannel channel;
+  Rng rng(1);
+  FaultPlan plan;
+  plan.CrashStop(69, 0);
+  FaultyRoundEngine engine(channel, rng, 70, plan);
+  const std::vector<std::uint64_t> short_span(1, 0);
+  const std::vector<std::uint64_t> long_span(3, 0);
+  std::vector<std::uint64_t> dirty_tail(2, 0);
+  dirty_tail.back() = std::uint64_t{1} << 6;  // party 70 does not exist
+  EXPECT_THROW((void)engine.RoundWords(short_span), std::invalid_argument);
+  EXPECT_THROW((void)engine.RoundWords(long_span), std::invalid_argument);
+  EXPECT_THROW((void)engine.RoundWords(dirty_tail), std::invalid_argument);
+  const std::vector<std::uint8_t> short_bytes(69, 0);
+  EXPECT_THROW((void)engine.Round(short_bytes), std::invalid_argument);
+  EXPECT_EQ(engine.rounds_used(), 0);
+}
+
 TEST(FaultExecute, EmptyPlanReproducesPlainExecuteBitForBit) {
   Rng setup(7);
   const InputSetInstance instance = SampleInputSet(6, setup);

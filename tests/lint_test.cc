@@ -406,6 +406,33 @@ TEST(LintChannelHotPath, FlagsPerSampleFlipsInsideDeliver) {
   EXPECT_NE(findings[0].message.find("BernoulliSampler"), std::string::npos);
 }
 
+TEST(LintChannelHotPath, FlagsDrawsInEveryDeliveryFunction) {
+  // A channel draws in a shared-draw channel's SharedOutcome, in
+  // DeliverWords, or in a decorator's Deliver: all three are scanned.
+  const std::string body =
+      "bool Foo::SharedOutcome(std::int64_t n, Rng& rng) const {\n"
+      "  return (n > 0) != rng.Bernoulli(eps_);\n"
+      "}\n"
+      "void Foo::DeliverWords(std::int64_t n, std::span<std::uint64_t> w,\n"
+      "                       std::int64_t p, WordMode m, Rng& rng) const {\n"
+      "  if (rng.UniformDouble() < eps_) w[0] ^= 1;\n"
+      "}\n"
+      "void Foo::Deliver(std::int64_t n, std::span<std::uint8_t> r,\n"
+      "                  Rng& rng) const {\n"
+      "  r[0] = rng.Bernoulli(eps_) ? 1 : 0;\n"
+      "}\n";
+  const auto findings =
+      RunRuleId("channel-hot-path", {Header("src/channel/foo.cc", body)});
+  ASSERT_EQ(findings.size(), 3u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("SharedOutcome"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 6);
+  EXPECT_NE(findings[1].message.find("DeliverWords"), std::string::npos);
+  EXPECT_EQ(findings[2].line, 10);
+  EXPECT_NE(findings[2].message.find("a Deliver implementation"),
+            std::string::npos);
+}
+
 TEST(LintChannelHotPath, PrecomputedSamplerDrawsAreClean) {
   const std::string body =
       "void Foo::Deliver(int n, std::span<std::uint8_t> r, Rng& rng) const {\n"

@@ -144,14 +144,6 @@ TEST(RoundEngine, DeliversOrToAllParties) {
   for (auto b : r2) EXPECT_EQ(b, 1);
 }
 
-TEST(RoundEngine, RoundSharedRequiresCorrelated) {
-  Rng rng(8);
-  const IndependentNoisyChannel channel(0.1);
-  RoundEngine engine(channel, rng, 2);
-  const std::vector<std::uint8_t> beeps{0, 0};
-  EXPECT_THROW((void)engine.RoundShared(beeps), std::invalid_argument);
-}
-
 TEST(RoundEngine, ValidatesBeepVectorSize) {
   Rng rng(9);
   const NoiselessChannel channel;
