@@ -76,7 +76,8 @@ void BM_ZetaVsTheoremC2(benchmark::State& state) {
   state.counters["mean_zeta_given_G"] = zeta_given_good.mean();
   state.counters["success_rate"] = run.successes.rate();
   state.counters["good_event_rate"] =
-      static_cast<double>(good_events) / run.successes.trials();
+      static_cast<double>(good_events) /
+      static_cast<double>(run.successes.trials());
   bench::SurfaceReport(state, run.report);
 }
 BENCHMARK(BM_ZetaVsTheoremC2)

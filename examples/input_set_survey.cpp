@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     std::printf("%6d %6d | %10d %12ld | %12.0f | %14.2f %14.2f\n", n,
                 CeilLog2(static_cast<std::uint64_t>(n < 2 ? 2 : n)), r_star,
                 rep_rounds, rewind_rounds.mean(),
-                nlogn > 0 ? rep_rounds / nlogn : 0.0,
+                nlogn > 0 ? static_cast<double>(rep_rounds) / nlogn : 0.0,
                 nlogn > 0 ? rewind_rounds.mean() / nlogn : 0.0);
   }
   std::printf(

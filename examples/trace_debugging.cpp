@@ -42,7 +42,9 @@ int main(int argc, char** argv) {
   const Trace& trace = recorder.trace();
   std::cout << "recorded " << trace.size() << " noisy rounds; noise touched "
             << CountNoisyRounds(trace) << " of them ("
-            << 100.0 * CountNoisyRounds(trace) / trace.size() << "%)\n";
+            << 100.0 * static_cast<double>(CountNoisyRounds(trace)) /
+                   static_cast<double>(trace.size())
+            << "%)\n";
   std::cout << "simulation "
             << (original.AllMatch(ReferenceTranscript(*protocol))
                     ? "succeeded"

@@ -8,8 +8,8 @@
 // resilience/clock.h made time injectable: ALL checkpoint I/O goes
 // through an Fs*, RealFs talks to the OS, and FaultingFs wraps any Fs
 // and misbehaves according to a deterministic, seed-driven FailPlan
-// (fail_plan.h).  The whole-program nblint rule `io-seam-discipline`
-// proves no raw filesystem call escapes this file.
+// (fail_plan.h).  The nblint rule `io-seam-discipline` flags any raw
+// filesystem call in src/ outside this file pair.
 //
 // Error model:
 //   - FsError is the ordinary failure: the operation did not (fully)

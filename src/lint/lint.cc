@@ -7,9 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "lint/cache.h"
-#include "lint/summary.h"
-
 namespace noisybeeps::lint {
 namespace {
 
@@ -87,13 +84,7 @@ std::vector<Finding> RunRule(const Rule& rule,
                              const std::vector<SourceFile>& files) {
   std::vector<Finding> findings;
   if (rule.run != nullptr) {
-    const RepoModel model(files);
-    rule.run(model, findings);
-    for (Finding& f : findings) f.severity = rule.severity;
-  } else if (rule.run_program != nullptr) {
-    const RepoModel model(files);
-    const ProgramAnalysis analysis = ProgramAnalysis::Build(model);
-    rule.run_program(analysis, findings);
+    rule.run(RepoModel(files), findings);
     for (Finding& f : findings) f.severity = rule.severity;
   }
   SortFindings(findings);
@@ -101,11 +92,6 @@ std::vector<Finding> RunRule(const Rule& rule,
 }
 
 std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files) {
-  return RunAllChecks(files, LintOptions{});
-}
-
-std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files,
-                                  const LintOptions& options) {
   const RepoModel model(files);
   std::vector<Finding> findings;
   for (const Rule& rule : AllRules()) {
@@ -114,35 +100,6 @@ std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files,
     rule.run(model, findings);
     for (std::size_t i = before; i < findings.size(); ++i) {
       findings[i].severity = rule.severity;
-    }
-  }
-
-  if (options.whole_program) {
-    std::size_t cache_hits = 0;
-    const std::vector<FileExtract> extracts =
-        ExtractWithCache(model, ParseCache(options.cache_in), &cache_hits);
-    if (options.cache_out != nullptr) {
-      *options.cache_out = SerializeCache(extracts);
-    }
-    const ProgramAnalysis analysis = ProgramAnalysis::Build(extracts);
-    if (options.stats != nullptr) {
-      options.stats->files = model.files().size();
-      options.stats->cache_hits = cache_hits;
-      options.stats->nodes = analysis.graph().nodes().size();
-      for (const CallNode& node : analysis.graph().nodes()) {
-        options.stats->edges += node.edges.size();
-        for (const CallEdge& edge : node.edges) {
-          if (!edge.targets.empty()) ++options.stats->resolved_edges;
-        }
-      }
-    }
-    for (const Rule& rule : AllRules()) {
-      if (rule.run_program == nullptr) continue;
-      const std::size_t before = findings.size();
-      rule.run_program(analysis, findings);
-      for (std::size_t i = before; i < findings.size(); ++i) {
-        findings[i].severity = rule.severity;
-      }
     }
   }
 
@@ -189,10 +146,6 @@ std::string FormatText(const std::vector<Finding>& findings) {
     out += f.file + ":" + std::to_string(f.line) + ": ";
     out += SeverityName(f.severity);
     out += ": " + f.rule_id + ": " + f.message + "\n";
-    for (const FlowStep& step : f.flow) {
-      out += "    " + step.file + ":" + std::to_string(step.line) + ": " +
-             step.text + "\n";
-    }
   }
   return out;
 }
@@ -307,22 +260,6 @@ std::string FormatSarif(const std::vector<Finding>& findings) {
     AppendJsonString(out, f.file);
     out += "}, \"region\": {\"startLine\": " + std::to_string(f.line) +
            "}}}]";
-    // Witness paths (call chains, CFG paths) ship as one codeFlow with
-    // one threadFlow, step order preserved.
-    if (!f.flow.empty()) {
-      out += ", \"codeFlows\": [{\"threadFlows\": [{\"locations\": [";
-      for (std::size_t s = 0; s < f.flow.size(); ++s) {
-        if (s > 0) out += ", ";
-        out += "{\"location\": {\"physicalLocation\": {\"artifactLocation\": "
-               "{\"uri\": ";
-        AppendJsonString(out, f.flow[s].file);
-        out += "}, \"region\": {\"startLine\": " +
-               std::to_string(f.flow[s].line) + "}}, \"message\": {\"text\": ";
-        AppendJsonString(out, f.flow[s].text);
-        out += "}}}";
-      }
-      out += "]}]}]";
-    }
     out += "}";
     out += i + 1 < findings.size() ? ",\n" : "\n";
   }

@@ -54,44 +54,17 @@ struct Suppression {
     const FileModel& file);
 
 // Runs a single rule over `files` with NO suppression processing --
-// what rule unit tests and the vacuity meta-test want.  Whole-program
-// rules (rule.run_program set) get a fresh ProgramAnalysis; engine-
-// implemented rules (both null) yield no findings here -- exercise those
-// through RunAllChecks.  Findings carry the rule's severity and are sorted.
+// what rule unit tests want.  Engine-implemented rules (run == nullptr)
+// yield no findings here; exercise those through RunAllChecks.  Findings
+// carry the rule's severity and are sorted.
 [[nodiscard]] std::vector<Finding> RunRule(
     const Rule& rule, const std::vector<SourceFile>& files);
 
-// Observability counters for one whole-program run (tools/nblint.cc
-// prints them; CI's cold-vs-warm timing line is built on cache_hits).
-struct LintStats {
-  std::size_t files = 0;
-  std::size_t nodes = 0;           // call-graph nodes (definitions)
-  std::size_t edges = 0;           // call sites
-  std::size_t resolved_edges = 0;  // edges with at least one target
-  std::size_t cache_hits = 0;      // files reused from the cache
-};
-
-struct LintOptions {
-  // Also run the whole-program rules (call graph + effect propagation +
-  // taint.h) on top of the per-file rules.
-  bool whole_program = false;
-  // Serialized incremental cache from a previous run (cache.h); "" runs
-  // cold.  Ignored unless whole_program.
-  std::string cache_in;
-  // When non-null, receives the up-to-date serialized cache to persist.
-  std::string* cache_out = nullptr;
-  // When non-null, receives run counters.
-  LintStats* stats = nullptr;
-};
-
 // The full engine: every registered rule over every file, suppressions
 // applied, suppression findings added, sorted by (file, line, rule,
-// message).  NBLINT suppressions silence whole-program findings exactly
-// like per-file ones.
+// message).
 [[nodiscard]] std::vector<Finding> RunAllChecks(
     const std::vector<SourceFile>& files);
-[[nodiscard]] std::vector<Finding> RunAllChecks(
-    const std::vector<SourceFile>& files, const LintOptions& options);
 
 // --- the finding baseline (tools/nblint_baseline.json) -------------------
 //

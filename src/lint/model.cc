@@ -41,13 +41,6 @@ bool IsUnorderedContainer(const std::string& name) {
          name == "unordered_multimap" || name == "unordered_multiset";
 }
 
-// Fixed-width and size-like integer spellings the narrowing analysis
-// (lint/dataflow.h) classifies; recorded both bare and std::-qualified.
-bool IsSizedIntType(const std::string& name) {
-  return name == "int64_t" || name == "uint64_t" || name == "int32_t" ||
-         name == "uint32_t" || name == "size_t" || name == "ptrdiff_t";
-}
-
 // Identifiers that introduce statements/expressions, never function names.
 bool IsNonFunctionKeyword(const std::string& name) {
   static const std::set<std::string> kKeywords = {
@@ -65,8 +58,7 @@ class ModelBuilder {
       : tokens_(tokens), code_(code) {}
 
   void Run(std::vector<FunctionInfo>& functions,
-           std::map<std::string, std::string>& value_types,
-           std::set<std::string>& globals) {
+           std::map<std::string, std::string>& value_types) {
     CollectValueTypes(value_types);
     std::size_t i = 0;
     while (i < code_.size()) {
@@ -86,18 +78,14 @@ class ModelBuilder {
         continue;
       }
       if (t.text == "{") {
-        // Namespace bodies keep namespace scope; any other brace (init
-        // list, lambda body, array initializer) is an opaque region whose
-        // declarations must not be mistaken for namespace-scope state.
-        scopes_.push_back(
-            Scope{IsNamespaceBrace(i) ? ScopeKind::kNamespace
-                                      : ScopeKind::kOther,
-                  ""});
+        // Any brace but a class body (namespace, init list, lambda body)
+        // opens a scope that names no class.
+        classes_.emplace_back();
         ++i;
         continue;
       }
       if (t.text == "}") {
-        if (!scopes_.empty()) scopes_.pop_back();
+        if (!classes_.empty()) classes_.pop_back();
         ++i;
         continue;
       }
@@ -121,74 +109,12 @@ class ModelBuilder {
           continue;
         }
       }
-      if (t.kind == TokenKind::kIdentifier && AtNamespaceScope() &&
-          IsGlobalVariableName(i)) {
-        globals.insert(t.text);
-      }
       ++i;
     }
   }
 
  private:
-  enum class ScopeKind { kNamespace, kClass, kOther };
-  struct Scope {
-    ScopeKind kind = ScopeKind::kOther;
-    std::string name;  // the class name for kClass scopes
-  };
-
   const Token& Tok(std::size_t i) const { return tokens_[code_[i]]; }
-
-  // True when every open scope is a namespace body (i.e. the walker sits
-  // at namespace scope, where variable declarations are shared state).
-  bool AtNamespaceScope() const {
-    for (const Scope& scope : scopes_) {
-      if (scope.kind != ScopeKind::kNamespace) return false;
-    }
-    return true;
-  }
-
-  // `i` is at a '{' in the main walk.  True when the brace opens a
-  // namespace body: "namespace {", "namespace name {", "namespace a::b {".
-  bool IsNamespaceBrace(std::size_t i) const {
-    std::size_t j = i;
-    while (j > 0) {
-      const Token& prev = Tok(j - 1);
-      if (prev.kind == TokenKind::kIdentifier && prev.text == "namespace") {
-        return true;
-      }
-      if (prev.kind == TokenKind::kIdentifier || prev.text == "::") {
-        --j;
-        continue;
-      }
-      return false;
-    }
-    return false;
-  }
-
-  // `i` is at an identifier at namespace scope.  True when it declares a
-  // MUTABLE namespace-scope variable: the next token closes a declarator
-  // ('=', ';', '[', '{'), a type precedes it in the same statement, and
-  // the statement carries no const/constexpr/using/... disqualifier.
-  bool IsGlobalVariableName(std::size_t i) const {
-    if (i + 1 >= code_.size()) return false;
-    const std::string& next = Tok(i + 1).text;
-    if (next != "=" && next != ";" && next != "[" && next != "{") {
-      return false;
-    }
-    static const std::set<std::string> kDisqualifiers = {
-        "const",    "constexpr", "constinit", "using",  "typedef",
-        "extern",   "namespace", "friend",    "enum",   "operator",
-        "template", "return",    "class",     "struct", "static_assert",
-        "="};
-    bool saw_type = false;
-    for (std::size_t j = i; j > 0; --j) {
-      const Token& prev = Tok(j - 1);
-      if (prev.text == ";" || prev.text == "{" || prev.text == "}") break;
-      if (kDisqualifiers.count(prev.text) > 0) return false;
-      if (prev.kind == TokenKind::kIdentifier) saw_type = true;
-    }
-    return saw_type;
-  }
 
   // `i` is at the '<' after `template`; returns the index after the
   // matching '>'.  Understands '>>' closing two levels.
@@ -232,7 +158,7 @@ class ModelBuilder {
       }
     }
     if (j >= code_.size()) return j;
-    scopes_.push_back(Scope{ScopeKind::kClass, name});
+    classes_.push_back(name);
     return j + 1;
   }
 
@@ -261,10 +187,8 @@ class ModelBuilder {
 
   // Innermost named class scope, or "".
   std::string EnclosingClass() const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->kind == ScopeKind::kClass && !it->name.empty()) {
-        return it->name;
-      }
+    for (auto it = classes_.rbegin(); it != classes_.rend(); ++it) {
+      if (!it->empty()) return *it;
     }
     return "";
   }
@@ -447,7 +371,8 @@ class ModelBuilder {
 
   const std::vector<Token>& tokens_;
   const std::vector<std::size_t>& code_;
-  std::vector<Scope> scopes_;
+  // One entry per open brace: the class name for a class body, else "".
+  std::vector<std::string> classes_;
 
   void CollectValueTypes(std::map<std::string, std::string>& out) {
     for (std::size_t i = 0; i < code_.size(); ++i) {
@@ -455,31 +380,8 @@ class ModelBuilder {
       if (t.kind != TokenKind::kIdentifier) continue;
       std::string type;
       std::size_t after = i + 1;  // first token past the type name
-      if (t.text == "double" || t.text == "float" || t.text == "Rng" ||
-          t.text == "int" || t.text == "unsigned" ||
-          IsSizedIntType(t.text)) {
+      if (t.text == "double" || t.text == "float" || t.text == "Rng") {
         type = t.text;
-        // `unsigned long long x` must not record x as plain unsigned; a
-        // multi-word integer spelling is left untyped.
-        if ((t.text == "int" || t.text == "unsigned") && i > 0) {
-          const std::string& prev = Tok(i - 1).text;
-          if (prev == "unsigned" || prev == "signed" || prev == "long" ||
-              prev == "short" || prev == "const") {
-            continue;
-          }
-        }
-        if ((t.text == "int" || t.text == "unsigned") &&
-            i + 1 < code_.size()) {
-          const std::string& next = Tok(i + 1).text;
-          if (next == "int" || next == "long" || next == "short" ||
-              next == "char") {
-            continue;
-          }
-        }
-      } else if (t.text == "std" && i + 2 < code_.size() &&
-                 Tok(i + 1).text == "::" && IsSizedIntType(Tok(i + 2).text)) {
-        type = "std::" + Tok(i + 2).text;
-        after = i + 3;
       } else if (t.text == "std" && i + 2 < code_.size() &&
                  Tok(i + 1).text == "::" &&
                  (Tok(i + 2).text == "ostringstream" ||
@@ -632,7 +534,7 @@ FileModel FileModel::Build(SourceFile file) {
     structural.push_back(i);
   }
   ModelBuilder builder(model.tokens_, structural);
-  builder.Run(model.functions_, model.value_types_, model.globals_);
+  builder.Run(model.functions_, model.value_types_);
   return model;
 }
 

@@ -4,8 +4,9 @@
 // function and class boundaries with qualified-name resolution for
 // out-of-class definitions ("IndependentNoisyChannel::Deliver"), the
 // file's include edges, and a best-effort map of declared value types
-// (which identifiers are double / Rng / std::ostringstream -- what the
-// float-equality, rng-stream-discipline, and locale-formatting rules need).
+// (which identifiers are double / Rng / std::ostringstream / unordered
+// containers -- what the float-equality, rng-stream-discipline,
+// locale-formatting, and determinism-taint rules need).
 //
 // The RepoModel aggregates the files and exposes the src/ module include
 // graph as a first-class queryable structure: modules, witnessed edges
@@ -92,13 +93,6 @@ class FileModel {
       const {
     return value_types_;
   }
-  // Names of MUTABLE namespace-scope variables declared in this file
-  // (const/constexpr/using/extern declarations excluded).  Writes to these
-  // are shared-state hazards under parallel execution; the whole-program
-  // lockset-discipline rule queries this set.
-  [[nodiscard]] const std::set<std::string>& globals() const {
-    return globals_;
-  }
 
   // True when any code token or string literal on `line` contains
   // `needle` case-insensitively (comments excluded).
@@ -114,7 +108,6 @@ class FileModel {
   std::vector<IncludeEdge> includes_;
   std::vector<FunctionInfo> functions_;
   std::map<std::string, std::string> value_types_;
-  std::set<std::string> globals_;
 };
 
 class RepoModel {

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <map>
+#include <set>
+#include <span>
 #include <utility>
-
-#include "lint/taint.h"
 
 namespace noisybeeps::lint {
 namespace {
@@ -231,14 +232,10 @@ void CheckIncludeCycles(const RepoModel& repo, std::vector<Finding>& out) {
 
 // --- layering ---------------------------------------------------------------
 
-}  // namespace
-
 // The declarative module-layer table: every src/ module appears here with
 // the exact set of sibling modules it may include.  Adding a module or a
 // dependency means editing this table -- which is the point: the layering
 // of the simulator is a reviewed decision, not an accident of #includes.
-// Declared in rules.h so layering-reachability (taint.cc) can close it
-// transitively.
 const std::map<std::string, std::set<std::string>>& LayerTable() {
   static const std::map<std::string, std::set<std::string>> kTable = {
       {"util", {}},
@@ -258,8 +255,6 @@ const std::map<std::string, std::set<std::string>>& LayerTable() {
   };
   return kTable;
 }
-
-namespace {
 
 void CheckLayering(const RepoModel& repo, std::vector<Finding>& out) {
   // Restricted modules stay leaves: their headers may be included from
@@ -736,6 +731,334 @@ void CheckLocaleFormatting(const RepoModel& repo, std::vector<Finding>& out) {
   }
 }
 
+// --- direct effects: determinism-taint, io-seam-discipline, service-layering
+//
+// These three rules each report one kind of effect a function body has
+// DIRECTLY -- a nondeterminism source, raw file I/O, a socket call --
+// outside the one seam allowed to have it.  Callers of a seam (the
+// injectable Clock, failpoint::Fs) are clean: only the seam's own bodies
+// touch the OS.
+
+enum class Effect {
+  kWallClock,      // raw OS clock read
+  kReadsEnv,       // getenv, or the util/flags.h environment helpers
+  kUnorderedIter,  // iteration over an unordered container
+  kPtrToInt,       // reinterpret_cast to an integer
+  kRawFileIo,      // fstream construction, fopen/rename, std::filesystem
+  kRawSocket,      // BSD socket calls
+};
+
+struct EffectSite {
+  Effect effect = Effect::kWallClock;
+  int line = 0;
+  std::string detail;  // "std::chrono::steady_clock::now", "getenv", ...
+};
+
+// Identifier-kind tokens that look like calls but are control flow or
+// operators.
+bool IsCallKeyword(const std::string& name) {
+  static const std::set<std::string> kKeywords = {
+      "if",       "while",   "for",     "switch",        "catch",
+      "sizeof",   "alignof", "alignas", "decltype",      "static_assert",
+      "return",   "throw",   "defined", "noexcept",      "typeid",
+      "requires", "assert"};
+  return kKeywords.count(name) > 0;
+}
+
+// Identifier-kind tokens after which `name(` is still an expression --
+// they must NOT veto a call the way `Type name(` does.
+bool IsExpressionKeyword(const std::string& name) {
+  static const std::set<std::string> kKeywords = {
+      "return", "throw",  "co_return", "co_yield", "case",
+      "new",    "delete", "else",      "do",       "in"};
+  return kKeywords.count(name) > 0;
+}
+
+bool IsWallClockFree(const std::string& name) {
+  return name == "gettimeofday" || name == "clock_gettime" ||
+         name == "localtime" || name == "gmtime" || name == "mktime";
+}
+
+// Free functions that touch the filesystem directly.  Deliberately not
+// "remove": std::remove is also the <algorithm> erase helper.
+bool IsRawFileIoFree(const std::string& name) {
+  return name == "fopen" || name == "fclose" || name == "fread" ||
+         name == "fwrite" || name == "fsync" || name == "fdatasync" ||
+         name == "open" || name == "close" || name == "unlink" ||
+         name == "rename";
+}
+
+// The BSD socket surface.  Only unqualified free calls count: std::bind
+// and a connect() method on some class are not transport code.
+bool IsRawSocketFree(const std::string& name) {
+  return name == "socket" || name == "bind" || name == "listen" ||
+         name == "accept" || name == "accept4" || name == "connect" ||
+         name == "recv" || name == "send" || name == "recvfrom" ||
+         name == "sendto" || name == "recvmsg" || name == "sendmsg" ||
+         name == "setsockopt" || name == "getsockopt" ||
+         name == "shutdown" || name == "socketpair";
+}
+
+// The seams: the only src/ files allowed to read OS time, the
+// environment, and the filesystem.
+bool IsClockSeamPath(const std::string& path) {
+  return path == "src/resilience/clock.h" ||
+         path == "src/resilience/clock.cc";
+}
+
+bool IsFlagsSeamPath(const std::string& path) {
+  return path == "src/util/flags.h" || path == "src/util/flags.cc";
+}
+
+bool IsFsSeamPath(const std::string& path) {
+  return path == "src/failpoint/fs.h" || path == "src/failpoint/fs.cc";
+}
+
+// Every direct effect in `fn`'s body; none for declarations.
+std::vector<EffectSite> DirectEffects(const RepoModel& repo,
+                                      const FileModel& file,
+                                      const FunctionInfo& fn) {
+  std::vector<EffectSite> out;
+  if (!fn.is_definition || fn.body_begin == kNpos ||
+      fn.body_end <= fn.body_begin) {
+    return out;
+  }
+  // The body's code tokens, braces excluded.
+  const std::vector<std::size_t>& code = file.code();
+  const auto first = std::upper_bound(code.begin(), code.end(), fn.body_begin);
+  const std::span<const std::size_t> body(
+      first, std::lower_bound(first, code.end(), fn.body_end));
+  const auto tok = [&](std::size_t i) -> const Token& {
+    return file.tokens()[body[i]];
+  };
+  const auto add = [&](Effect effect, int line, std::string detail) {
+    out.push_back(EffectSite{effect, line, std::move(detail)});
+  };
+
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const Token& t = tok(i);
+
+    // reinterpret_cast to a non-pointer target is a pointer-to-integer
+    // cast: address values differ across runs (ASLR) and across workers.
+    if (t.text == "reinterpret_cast" && i + 1 < body.size() &&
+        tok(i + 1).text == "<") {
+      bool pointer_target = false;
+      for (std::size_t j = i + 2; j < body.size(); ++j) {
+        const std::string& text = tok(j).text;
+        if (text == ">" || text == ">>") break;
+        if (text == "*" || text == "&") pointer_target = true;
+      }
+      if (!pointer_target) {
+        add(Effect::kPtrToInt, t.line, "reinterpret_cast to integer");
+      }
+      continue;
+    }
+
+    // File-stream construction is raw filesystem access even when no
+    // method call is visible (RAII open on construction).
+    if (t.kind == TokenKind::kIdentifier &&
+        (t.text == "ofstream" || t.text == "ifstream" ||
+         t.text == "fstream") &&
+        i >= 2 && tok(i - 1).text == "::" && tok(i - 2).text == "std") {
+      add(Effect::kRawFileIo, t.line, "std::" + t.text);
+      continue;
+    }
+
+    // Range-for over an unordered container: iteration order is
+    // per-process, so anything derived from it is nondeterministic.
+    if (t.text == "for" && i + 1 < body.size() && tok(i + 1).text == "(") {
+      int depth = 0;
+      for (std::size_t j = i + 1; j < body.size(); ++j) {
+        const std::string& text = tok(j).text;
+        if (text == "(") ++depth;
+        if (text == ")" && --depth == 0) break;
+        if (text != ":" || depth != 1 || j + 1 >= body.size()) continue;
+        std::size_t expr = j + 1;
+        while (expr < body.size() &&
+               (tok(expr).text == "*" || tok(expr).text == "&")) {
+          ++expr;
+        }
+        if (expr < body.size() && tok(expr).kind == TokenKind::kIdentifier) {
+          const std::string type = repo.TypeOf(file, tok(expr).text);
+          if (type.starts_with("std::unordered")) {
+            add(Effect::kUnorderedIter, tok(expr).line,
+                "range-for over " + type + " " + tok(expr).text);
+          }
+        }
+        break;
+      }
+      continue;
+    }
+
+    // Everything else is a call: `callee(`, possibly `A::B::callee(` or
+    // `x.callee(`.
+    if (t.kind != TokenKind::kIdentifier || i + 1 >= body.size() ||
+        tok(i + 1).text != "(" || IsCallKeyword(t.text)) {
+      continue;
+    }
+    std::size_t start = i;
+    std::string qualifier;
+    while (start >= 2 && tok(start - 1).text == "::" &&
+           tok(start - 2).kind == TokenKind::kIdentifier) {
+      qualifier = qualifier.empty() ? tok(start - 2).text
+                                    : tok(start - 2).text + "::" + qualifier;
+      start -= 2;
+    }
+    const bool member = qualifier.empty() && start > 0 &&
+                        (tok(start - 1).text == "." ||
+                         tok(start - 1).text == "->");
+    const bool free = qualifier.empty() && !member;
+    if (free && start > 0) {
+      // `Type name(` / `T* name(` / `vector<T> name(` declare, not call.
+      const Token& prev = tok(start - 1);
+      if ((prev.kind == TokenKind::kIdentifier &&
+           !IsExpressionKeyword(prev.text)) ||
+          prev.text == ">" || prev.text == ">>" || prev.text == "*" ||
+          prev.text == "&") {
+        continue;
+      }
+    }
+    const std::string& callee = t.text;
+    if (callee == "getenv" || callee == "secure_getenv" ||
+        callee == "EnvInt64" || callee == "EnvDouble") {
+      add(Effect::kReadsEnv, t.line, callee);
+    }
+    if (callee == "now" &&
+        (qualifier.find("steady_clock") != std::string::npos ||
+         qualifier.find("system_clock") != std::string::npos ||
+         qualifier.find("high_resolution_clock") != std::string::npos)) {
+      add(Effect::kWallClock, t.line, qualifier + "::now");
+    }
+    if (free && IsWallClockFree(callee)) {
+      add(Effect::kWallClock, t.line, callee);
+    }
+    if (member && (callee == "begin" || callee == "cbegin") && start >= 2 &&
+        tok(start - 2).kind == TokenKind::kIdentifier) {
+      const std::string type = repo.TypeOf(file, tok(start - 2).text);
+      if (type.starts_with("std::unordered")) {
+        add(Effect::kUnorderedIter, t.line, type + "::" + callee);
+      }
+    }
+    if (IsRawFileIoFree(callee) && (free || qualifier == "std")) {
+      add(Effect::kRawFileIo, t.line, free ? callee : "std::" + callee);
+    }
+    // std::filesystem::exists / fs::remove / ... (namespace alias included).
+    if (qualifier.ends_with("filesystem") || qualifier == "fs") {
+      add(Effect::kRawFileIo, t.line, qualifier + "::" + callee);
+    }
+    if (free && IsRawSocketFree(callee)) {
+      add(Effect::kRawSocket, t.line, callee);
+    }
+  }
+  return out;
+}
+
+// Calls `report(path, fn_name, site)` for every direct effect in the
+// definitions of the files whose path `in_scope` accepts.
+template <typename InScope, typename Report>
+void ForEachEffect(const RepoModel& repo, InScope in_scope, Report report) {
+  for (const FileModel& file : repo.files()) {
+    if (!in_scope(file.path())) continue;
+    for (const FunctionInfo& fn : file.functions()) {
+      const std::string fn_name =
+          fn.class_name.empty() ? fn.name : fn.class_name + "::" + fn.name;
+      for (const EffectSite& site : DirectEffects(repo, file, fn)) {
+        report(file.path(), fn_name, site);
+      }
+    }
+  }
+}
+
+// --- determinism-taint ------------------------------------------------------
+
+void CheckDeterminismTaint(const RepoModel& repo, std::vector<Finding>& out) {
+  // Each nondeterminism source, the seam (if any) where src/ may use it,
+  // and what to do instead.
+  struct Source {
+    Effect effect;
+    bool (*is_seam)(const std::string& path);
+    std::string_view what;
+    std::string_view advice;
+  };
+  static constexpr Source kSources[] = {
+      {Effect::kWallClock, IsClockSeamPath, "raw wall-clock read",
+       "src/ must go through the injectable Clock in src/resilience/clock.h "
+       "so replay stays deterministic"},
+      {Effect::kReadsEnv, IsFlagsSeamPath, "environment read",
+       "src/ reads the environment only inside src/util/flags.*; take the "
+       "value as a parameter so the result stays a function of its inputs"},
+      {Effect::kUnorderedIter, nullptr, "unordered-container iteration",
+       "its order can differ between processes and standard libraries; "
+       "iterate the input or an ordered container instead"},
+      {Effect::kPtrToInt, nullptr, "pointer-to-integer cast",
+       "addresses differ across runs (ASLR) and workers, so nothing derived "
+       "from them replays"},
+  };
+  ForEachEffect(
+      repo, [](const std::string& path) { return path.starts_with("src/"); },
+      [&](const std::string& path, const std::string& fn_name,
+          const EffectSite& site) {
+        for (const Source& source : kSources) {
+          if (source.effect != site.effect ||
+              (source.is_seam != nullptr && source.is_seam(path))) {
+            continue;
+          }
+          out.push_back({path, site.line, "determinism-taint",
+                         std::string(source.what) + " (" + site.detail +
+                             ") in " + fn_name + "; " +
+                             std::string(source.advice)});
+        }
+      });
+}
+
+// --- io-seam-discipline -----------------------------------------------------
+
+void CheckIoSeamDiscipline(const RepoModel& repo, std::vector<Finding>& out) {
+  // bench/ is in scope too: a benchmark that writes files skews the
+  // numbers it reports.  tools/ stay exempt -- reading trees and writing
+  // reports is their whole job.
+  ForEachEffect(
+      repo,
+      [](const std::string& path) {
+        return (path.starts_with("src/") || path.starts_with("bench/")) &&
+               !IsFsSeamPath(path);
+      },
+      [&](const std::string& path, const std::string& fn_name,
+          const EffectSite& site) {
+        if (site.effect != Effect::kRawFileIo) return;
+        out.push_back(
+            {path, site.line, "io-seam-discipline",
+             "raw filesystem access (" + site.detail + ") in " + fn_name +
+                 "; src/ must go through the injectable failpoint::Fs seam "
+                 "in src/failpoint/fs.h so I/O faults stay injectable (and "
+                 "bench/ must not do file I/O at all)"});
+      });
+}
+
+// --- service-layering -------------------------------------------------------
+
+void CheckServiceLayering(const RepoModel& repo, std::vector<Finding>& out) {
+  // Unlike io-seam-discipline there is NO exempt seam in src/: no library
+  // file may speak a transport.  The one sanctioned home for socket calls
+  // is the nbserved front-end.
+  ForEachEffect(
+      repo,
+      [](const std::string& path) {
+        return path.starts_with("src/") || path.starts_with("bench/") ||
+               (path.starts_with("tools/") && path != "tools/nbserved.cc");
+      },
+      [&](const std::string& path, const std::string& fn_name,
+          const EffectSite& site) {
+        if (site.effect != Effect::kRawSocket) return;
+        out.push_back(
+            {path, site.line, "service-layering",
+             "raw socket call (" + site.detail + ") in " + fn_name +
+                 "; transport lives only in the nbserved front-end "
+                 "(tools/nbserved.cc) -- everything else must stay behind "
+                 "the transport-agnostic service core API (src/service/)"});
+      });
+}
+
 // --- the registry -----------------------------------------------------------
 
 SourceFile F(std::string path, std::string content) {
@@ -794,12 +1117,10 @@ std::vector<Rule> BuildRegistry() {
       "makes the visible file transition atomic on POSIX."});
   rules.push_back(Rule{
       "determinism-taint", Severity::kWarn, "determinism",
-      "Whole-program: no call path from a determinism-critical sink "
-      "(checkpoint payloads, fingerprints, transcripts, digests, seed "
-      "derivation) may reach a nondeterminism source (raw wall clock, "
-      "getenv, unordered-container iteration, pointer-to-integer casts); "
-      "raw clocks are confined to src/resilience/clock.",
-      nullptr,
+      "No nondeterminism source in src/: raw wall clocks outside "
+      "src/resilience/clock.*, environment reads outside src/util/flags.*, "
+      "unordered-container iteration, or pointer-to-integer casts.",
+      CheckDeterminismTaint,
       {F("src/analysis/fixture.cc",
          "#include <chrono>\n"
          "namespace noisybeeps {\n"
@@ -807,16 +1128,15 @@ std::vector<Rule> BuildRegistry() {
          "  return "
          "std::chrono::steady_clock::now().time_since_epoch().count();\n"
          "}\n"
-         "long ReportFingerprint() { return StampNow(); }\n"
          "}  // namespace noisybeeps\n")},
       "Replay guarantees (bit-identical trials across worker counts, "
       "bit-identical kill-and-resume) hold only if checkpoint payloads, "
       "RunReport fingerprints, golden transcripts, and derived seeds are "
-      "functions of the seeded Rng alone.  Per-file rules cannot see a "
-      "helper three calls down reading the clock; the call-graph closure "
-      "can, and the diagnostic carries the full witness path.  Rng draws "
-      "and the injectable Clock are sanctioned boundaries, not sources.",
-      CheckDeterminismTaint});
+      "functions of the seeded Rng alone.  The rule keeps every source of "
+      "nondeterminism out of src/, so no caller can reach one: OS time "
+      "comes only through the injectable Clock seam and the environment "
+      "only through util/flags.  Rng draws and Clock callers are "
+      "sanctioned boundaries, not sources."});
   rules.push_back(Rule{
       "float-equality", Severity::kWarn, "numerics",
       "No ==/!= between floating-point expressions in src/analysis/ and "
@@ -845,34 +1165,11 @@ std::vector<Rule> BuildRegistry() {
       "or replaced alone.  Acyclicity is what makes the layer table "
       "meaningful."});
   rules.push_back(Rule{
-      "int-narrowing-at-boundary", Severity::kWarn, "correctness",
-      "Whole-program: implicit int64 -> int32 narrowing at assignment, "
-      "return, and call boundaries (judged against the resolved callee's "
-      "declared parameter width) must be dominated by an NB_REQUIRE range "
-      "guard naming the value.",
-      nullptr,
-      {F("src/analysis/fixture.cc",
-         "#include <cstdint>\n"
-         "namespace noisybeeps {\n"
-         "std::int32_t ClipCount(std::int64_t total) {\n"
-         "  std::int32_t small = 0;\n"
-         "  small = total;\n"
-         "  return small;\n"
-         "}\n"
-         "}  // namespace noisybeeps\n")},
-      "Trial counts and payload sizes are 64-bit at the boundaries, but "
-      "older call sites still traffic in int.  An implicit truncation is "
-      "silent until a sweep crosses 2^31 trials and statistics quietly "
-      "wrap.  The CFG-level check accepts a dominating NB_REQUIRE that "
-      "names the value -- the repo's idiom for 'this range was thought "
-      "about' -- and otherwise asks for an explicit checked cast.",
-      CheckIntNarrowing});
-  rules.push_back(Rule{
       "io-seam-discipline", Severity::kWarn, "robustness",
-      "Whole-program: no raw filesystem access (fstream construction, "
-      "fopen/fsync/rename, std::filesystem calls) in src/ or bench/ "
-      "outside the injectable failpoint::Fs seam in src/failpoint/fs.*.",
-      nullptr,
+      "No raw filesystem access (fstream construction, fopen/fsync/rename, "
+      "std::filesystem calls) in src/ or bench/ outside the injectable "
+      "failpoint::Fs seam in src/failpoint/fs.*.",
+      CheckIoSeamDiscipline,
       {F("src/analysis/fixture.cc",
          "#include <fstream>\n"
          "namespace noisybeeps {\n"
@@ -883,12 +1180,10 @@ std::vector<Rule> BuildRegistry() {
       "where a deterministic FailPlan can make the disk fill, tear, or "
       "rot on demand.  A raw fstream or rename elsewhere in src/ is I/O "
       "the chaos layer can never fault -- an untested failure path by "
-      "construction.  The seam itself is the third sanctioned hole in "
-      "the effect closure, beside locks and wall-clock.  bench/ is in "
-      "scope too (a benchmark that writes files skews what it measures); "
-      "tools/ stay exempt because reading trees and writing reports is "
-      "their whole job.",
-      CheckIoSeamDiscipline});
+      "construction.  Callers of the seam are clean; only its own bodies "
+      "touch the disk.  bench/ is in scope too (a benchmark that writes "
+      "files skews what it measures); tools/ stay exempt because reading "
+      "trees and writing reports is their whole job."});
   rules.push_back(Rule{
       "layering", Severity::kError, "architecture",
       "Every src/ module's dependencies must match the declarative layer "
@@ -899,29 +1194,6 @@ std::vector<Rule> BuildRegistry() {
       "The simulator's layering is a reviewed decision, not an accident "
       "of #includes: adding a dependency means editing the table in "
       "src/lint/rules.cc where the change is visible in review."});
-  rules.push_back(Rule{
-      "layering-reachability", Severity::kWarn, "architecture",
-      "Whole-program: every resolved cross-module call edge must stay "
-      "within the transitive closure of the layer table, catching "
-      "dependencies no direct #include witnesses.",
-      nullptr,
-      {F("src/util/fixture.cc",
-         "namespace noisybeeps {\n"
-         "int TaskCount();\n"
-         "int UtilThing() { return TaskCount(); }\n"
-         "}  // namespace noisybeeps\n"),
-       F("src/tasks/fixture.cc",
-         "namespace noisybeeps {\n"
-         "int TaskCount() { return 3; }\n"
-         "}  // namespace noisybeeps\n")},
-      "A module can reach another through a forward declaration or a "
-      "same-module header that re-exports the symbol -- no #include "
-      "edge, so the per-file layering rule is blind to it.  Checking "
-      "resolved call edges against the closed layer table catches the "
-      "dependency where it actually flows.  Method-union edges are "
-      "skipped: a guessed receiver class must not invent an "
-      "architecture violation.",
-      CheckLayeringReachability});
   rules.push_back(Rule{
       "locale-formatting", Severity::kError, "portability",
       "Doubles in name()/fingerprint/CSV paths must be formatted with "
@@ -938,31 +1210,6 @@ std::vector<Rule> BuildRegistry() {
       "A German locale renders 0.1 as \"0,1\": experiment names, CSV "
       "rows, and fingerprints silently change meaning on another "
       "machine.  FormatDouble pins the 'C' locale and round-trips."});
-  rules.push_back(Rule{
-      "lockset-discipline", Severity::kWarn, "concurrency",
-      "Whole-program: functions reachable from ParallelForEach / "
-      "ParallelTrials worker bodies must hold a lock on EVERY CFG path "
-      "that reaches a write of namespace-scope or static state; use the "
-      "per-worker accumulator + Merge pattern.",
-      nullptr,
-      {F("src/analysis/fixture.cc",
-         "namespace noisybeeps {\n"
-         "int g_hits = 0;\n"
-         "void Bump() { g_hits += 1; }\n"
-         "void Sweep() {\n"
-         "  ParallelForEach(8, [](int i) { Bump(); });\n"
-         "}\n"
-         "}  // namespace noisybeeps\n")},
-      "A data race in a worker body is both undefined behaviour and a "
-      "determinism leak: results depend on interleaving.  The repo's "
-      "pattern -- each worker fills its own accumulator, the caller "
-      "Merges sequentially -- makes races structurally impossible.  The "
-      "flow-sensitive successor of v3's shared-state-discipline: a "
-      "must-lockset analysis walks each reachable function's CFG, so a "
-      "helper that guards the write on every path (RAII guard in scope, "
-      "manual lock()/unlock()) is clean, while an early-return path that "
-      "skips the guard is caught -- v3 could see neither.",
-      CheckLocksetDiscipline});
   rules.push_back(Rule{
       "raw-thread", Severity::kError, "determinism",
       "No std::thread/std::jthread/std::async/pthread_create outside "
@@ -993,40 +1240,6 @@ std::vector<Rule> BuildRegistry() {
       "the bad argument.  NB_REQUIRE turns them into immediate, "
       "attributable failures."});
   rules.push_back(Rule{
-      "rng-draw-parity", Severity::kError, "determinism",
-      "Whole-program: in src/channel/, the arms of a WordMode-conditioned "
-      "branch must consume identical numbers of Rng draws on every CFG "
-      "path, or the stream-compat and fast modes diverge after one round.",
-      nullptr,
-      {F("src/channel/fixture.cc",
-         "#include \"util/rng.h\"\n"
-         "namespace noisybeeps {\n"
-         "enum class WordMode { kStreamCompat, kFast };\n"
-         "struct WordChan {\n"
-         "  WordMode mode_ = WordMode::kFast;\n"
-         "  Rng rng_;\n"
-         "  unsigned Step() {\n"
-         "    if (mode_ == WordMode::kStreamCompat) {\n"
-         "      unsigned a = rng_.NextU64() & 1u;\n"
-         "      unsigned b = rng_.NextU64() & 1u;\n"
-         "      return a ^ b;\n"
-         "    }\n"
-         "    return rng_.NextU64() & 3u;\n"
-         "  }\n"
-         "};\n"
-         "}  // namespace noisybeeps\n")},
-      "The word-parallel channel keeps two sampling modes that must stay "
-      "stream-compatible: kStreamCompat replays the scalar draw sequence, "
-      "kFast batches it.  Equality of per-round RESULTS is tested, but if "
-      "the two arms consume different numbers of draws the modes diverge "
-      "from the second round on, and every cross-mode replay comparison "
-      "silently lies -- exactly PR 9's burst double-advance bug, where "
-      "the compat arm advanced the stream twice per round.  The CFG pass "
-      "enumerates each arm's paths and compares the sets of distinct "
-      "draw-site counts; designs that route both arms through one shared "
-      "sampler call pass by construction.",
-      CheckRngDrawParity});
-  rules.push_back(Rule{
       "rng-stream-discipline", Severity::kError, "determinism",
       "Rng is a stream position: no by-value Rng parameters and no Rng "
       "copies outside Split(); a copy silently forks the stream.",
@@ -1039,11 +1252,11 @@ std::vector<Rule> BuildRegistry() {
       "way to fork."});
   rules.push_back(Rule{
       "service-layering", Severity::kWarn, "robustness",
-      "Whole-program: no raw BSD socket calls (socket/bind/listen/accept/"
-      "connect/...) in src/, bench/, or tools/ outside tools/nbserved.cc; "
-      "transport lives only in the nbserved front-end, behind the "
-      "transport-agnostic service core API in src/service/.",
-      nullptr,
+      "No raw BSD socket calls (socket/bind/listen/accept/connect/...) in "
+      "src/, bench/, or tools/ outside tools/nbserved.cc; transport lives "
+      "only in the nbserved front-end, behind the transport-agnostic "
+      "service core API in src/service/.",
+      CheckServiceLayering,
       {F("src/analysis/fixture.cc",
          "#include <sys/socket.h>\n"
          "namespace noisybeeps {\n"
@@ -1056,8 +1269,7 @@ std::vector<Rule> BuildRegistry() {
       "harness cannot drive, so every overload and crash path behind it "
       "goes untested.  Unlike the Fs and Clock seams there is no "
       "sanctioned socket seam: bytes-on-the-wire belong exclusively to "
-      "tools/nbserved.cc.",
-      CheckServiceLayering});
+      "tools/nbserved.cc."});
   rules.push_back(Rule{
       "suppression-justification", Severity::kError, "suppressions",
       "Every NBLINT suppression must carry a non-empty justification; an "

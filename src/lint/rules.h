@@ -5,7 +5,7 @@
 // failing), a category, a one-line summary (surfaced in SARIF), and a
 // firing fixture -- a tiny synthetic file set on which the rule MUST
 // produce at least one finding.  The fixture travels with the rule so the
-// vacuity meta-test (tests/lint_test.cc) can mechanically prove no rule
+// vacuity meta-test (lint_engine_test.cc) can mechanically prove no rule
 // has silently become a no-op, which is exactly how PR 4's channel-hot-path
 // regression slipped in under the regex engine.
 //
@@ -17,8 +17,6 @@
 #define NOISYBEEPS_LINT_RULES_H_
 
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,23 +25,10 @@
 
 namespace noisybeeps::lint {
 
-class ProgramAnalysis;  // summary.h -- the whole-program effect closure
-
 enum class Severity { kError, kWarn };
 
 // "error" / "warn".
 [[nodiscard]] std::string_view SeverityName(Severity severity);
-
-// One hop of a finding's witness path (a call chain or a CFG path).
-// Rendered as indented continuation lines in text output and as a
-// codeFlow/threadFlow in SARIF.
-struct FlowStep {
-  std::string file;
-  int line = 0;
-  std::string text;
-
-  friend bool operator==(const FlowStep& a, const FlowStep& b) = default;
-};
 
 struct Finding {
   std::string file;
@@ -51,8 +36,6 @@ struct Finding {
   std::string rule_id;
   std::string message;
   Severity severity = Severity::kError;
-  // Optional witness path, first step outermost.  Empty for most rules.
-  std::vector<FlowStep> flow;
 
   friend bool operator==(const Finding& a, const Finding& b) = default;
 };
@@ -62,18 +45,12 @@ struct Rule {
   Severity severity = Severity::kError;
   std::string category;
   std::string summary;
-  // Emits findings over the model; nullptr for engine-implemented and
-  // whole-program rules.
+  // Emits findings over the model; nullptr for engine-implemented rules.
   std::function<void(const RepoModel&, std::vector<Finding>&)> run;
   // Synthetic files on which this rule must fire (vacuity meta-test).
   std::vector<SourceFile> firing_fixture;
   // Longer-form why-this-exists, surfaced by `nblint --explain=<id>`.
   std::string rationale;
-  // Emits findings over the whole-program analysis (taint.h); only set
-  // for whole-program rules, which run when the engine is invoked with
-  // LintOptions.whole_program (lint.h).
-  std::function<void(const ProgramAnalysis&, std::vector<Finding>&)>
-      run_program;
 };
 
 // The registry, in stable order (SARIF ruleIndex depends on it).
@@ -81,13 +58,6 @@ struct Rule {
 
 // nullptr when no rule has that id.
 [[nodiscard]] const Rule* FindRule(std::string_view id);
-
-// The declarative module-layer table: every src/ module with the exact
-// set of sibling modules it may depend on.  The per-file `layering` rule
-// checks direct #includes against it; `layering-reachability` (taint.h)
-// checks resolved call edges against its transitive closure.
-[[nodiscard]] const std::map<std::string, std::set<std::string>>&
-LayerTable();
 
 }  // namespace noisybeeps::lint
 

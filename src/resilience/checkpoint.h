@@ -24,7 +24,7 @@
 // CheckpointError rather than silently restarting the sweep.
 //
 // All I/O goes through the failpoint::Fs seam (failpoint/fs.h, enforced
-// by the whole-program nblint rule io-seam-discipline), so every one of
+// by the nblint rule io-seam-discipline), so every one of
 // these promises is testable under injected faults; the Fs-less
 // overloads below delegate to RealFs.
 #ifndef NOISYBEEPS_RESILIENCE_CHECKPOINT_H_

@@ -80,9 +80,8 @@ std::size_t CountUniqueElements(std::span<const std::uint64_t> values) {
   counts.reserve(values.size());
   for (std::uint64_t v : values) ++counts[v];
   std::size_t unique = 0;
-  for (const auto& [value, count] : counts) {
-    (void)value;
-    if (count == 1) ++unique;
+  for (std::uint64_t v : values) {
+    if (counts.at(v) == 1) ++unique;
   }
   return unique;
 }

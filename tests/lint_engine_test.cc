@@ -1,5 +1,5 @@
 // The nblint engine: suppression comments, the rule registry, output
-// formats, and the SARIF 2.1.0 emitter.
+// formats, the SARIF 2.1.0 emitter, and the warn-finding baseline.
 #include "lint/lint.h"
 
 #include <gtest/gtest.h>
@@ -222,25 +222,6 @@ TEST(LintRegistry, RulesAreRegisteredSortedAndUnique) {
   EXPECT_EQ(FindRule("does-not-exist"), nullptr);
 }
 
-TEST(LintRegistry, WholeProgramRulesAreRegisteredAsSuch) {
-  for (const char* id :
-       {"determinism-taint", "rng-draw-parity", "lockset-discipline",
-        "int-narrowing-at-boundary", "layering-reachability",
-        "io-seam-discipline", "service-layering"}) {
-    const Rule* rule = FindRule(id);
-    ASSERT_NE(rule, nullptr) << id;
-    EXPECT_EQ(rule->run, nullptr) << id;
-    EXPECT_NE(rule->run_program, nullptr) << id;
-  }
-  // A missed draw desynchronizes every later word on the stream; the
-  // other flow-sensitive rules stay baselineable warnings.
-  EXPECT_EQ(FindRule("rng-draw-parity")->severity, Severity::kError);
-  EXPECT_EQ(FindRule("lockset-discipline")->severity, Severity::kWarn);
-  EXPECT_EQ(FindRule("int-narrowing-at-boundary")->severity, Severity::kWarn);
-  // The v3 path-insensitive rule is gone; lockset-discipline replaced it.
-  EXPECT_EQ(FindRule("shared-state-discipline"), nullptr);
-}
-
 TEST(LintRegistry, SeveritiesComeFromTheRegistry) {
   ASSERT_NE(FindRule("float-equality"), nullptr);
   EXPECT_EQ(FindRule("float-equality")->severity, Severity::kWarn);
@@ -249,20 +230,19 @@ TEST(LintRegistry, SeveritiesComeFromTheRegistry) {
   const auto findings = RunAllChecks(FindRule("float-equality")->firing_fixture);
   ASSERT_GE(CountRule(findings, "float-equality"), 1u);
   for (const Finding& f : findings) {
-    if (f.rule_id == "float-equality") EXPECT_EQ(f.severity, Severity::kWarn);
+    if (f.rule_id == "float-equality") {
+      EXPECT_EQ(f.severity, Severity::kWarn);
+    }
   }
 }
 
 // The vacuity meta-test: a rule whose firing fixture produces no finding is
 // dead weight -- either the fixture rotted or the rule can never fire.
-// Whole-program mode so the call-graph rules get their ProgramAnalysis.
 TEST(LintRegistry, EveryRuleFiresOnItsOwnFixture) {
-  LintOptions options;
-  options.whole_program = true;
   for (const Rule& rule : AllRules()) {
     ASSERT_FALSE(rule.firing_fixture.empty())
         << "rule has no firing fixture: " << rule.id;
-    const auto findings = RunAllChecks(rule.firing_fixture, options);
+    const auto findings = RunAllChecks(rule.firing_fixture);
     EXPECT_GE(CountRule(findings, rule.id), 1u)
         << "rule never fires on its own fixture: " << rule.id;
   }
@@ -451,38 +431,6 @@ TEST(LintSarif, EmptyFindingsStillValidate) {
   EXPECT_NE(sarif.find("\"results\": ["), std::string::npos);
 }
 
-TEST(LintSarif, WitnessPathsBecomeCodeFlows) {
-  Finding finding{"src/channel/word.cc", 9, "rng-draw-parity",
-                  "arms draw differently", Severity::kError};
-  finding.flow = {
-      {"src/channel/word.cc", 9, "WordMode branch in Step"},
-      {"src/channel/word.cc", 11, "Rng draw: NextU64"},
-  };
-  Finding plain{"src/a.cc", 1, "header-guard", "bad guard",
-                Severity::kError};
-  const std::string sarif = FormatSarif({finding, plain});
-  EXPECT_TRUE(JsonChecker(sarif).Valid()) << sarif;
-  EXPECT_NE(sarif.find("\"codeFlows\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"threadFlows\""), std::string::npos);
-  EXPECT_NE(sarif.find("Rng draw: NextU64"), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 11"), std::string::npos);
-  // Flow-less findings must not grow an empty codeFlows array.
-  EXPECT_EQ(sarif.find("\"codeFlows\": []"), std::string::npos);
-}
-
-TEST(LintFormats, TextFormatRendersFlowStepsIndented) {
-  Finding finding{"src/a.cc", 4, "lockset-discipline", "unlocked write",
-                  Severity::kWarn};
-  finding.flow = {
-      {"src/b.cc", 7, "parallel region in Sweep"},
-      {"src/a.cc", 4, "unlocked write: g_hits += 1"},
-  };
-  EXPECT_EQ(FormatText({finding}),
-            "src/a.cc:4: warn: lockset-discipline: unlocked write\n"
-            "    src/b.cc:7: parallel region in Sweep\n"
-            "    src/a.cc:4: unlocked write: g_hits += 1\n");
-}
-
 // --- the real tree ----------------------------------------------------------
 
 // RunAllChecks over a small honest slice of repo-shaped files aggregates
@@ -516,6 +464,46 @@ TEST(LintEngine, CleanFilesProduceNoFindings) {
           "int Widget(int n) { return n + 1; }\n"),
   };
   EXPECT_TRUE(RunAllChecks(files).empty());
+}
+
+// --- the finding baseline ---------------------------------------------------
+
+TEST(LintBaseline, RoundTripsWarnFindingsKeyedByRuleAndFile) {
+  const std::vector<Finding> findings = {
+      {"src/a.cc", 3, "determinism-taint", "first", Severity::kWarn},
+      {"src/a.cc", 9, "determinism-taint", "second", Severity::kWarn},
+      {"src/b.cc", 1, "banned-random", "errors never baseline",
+       Severity::kError},
+  };
+  const std::string json = FormatBaseline(findings);
+  const std::vector<BaselineEntry> baseline = ParseBaseline(json);
+  // The two warn findings share (rule, file) and collapse to one entry;
+  // the error finding is excluded.
+  ASSERT_EQ(baseline.size(), 1u) << json;
+  EXPECT_EQ(baseline[0].rule_id, "determinism-taint");
+  EXPECT_EQ(baseline[0].file, "src/a.cc");
+}
+
+TEST(LintBaseline, NewFindingsIgnoresBaselinedAndStaleEntries) {
+  const std::vector<Finding> findings = {
+      {"src/a.cc", 3, "determinism-taint", "msg", Severity::kWarn},
+      {"src/b.cc", 1, "banned-random", "err", Severity::kError},
+  };
+  // No baseline: every warn finding is new (errors fail on their own).
+  ASSERT_EQ(NewFindings(findings, {}).size(), 1u);
+  EXPECT_EQ(NewFindings(findings, {})[0].file, "src/a.cc");
+  // Covered plus a stale entry nothing matches: nothing is new.
+  const std::vector<BaselineEntry> baseline = {
+      {"determinism-taint", "src/a.cc"},
+      {"shared-state-discipline", "src/long_gone.cc"},
+  };
+  EXPECT_TRUE(NewFindings(findings, baseline).empty());
+}
+
+TEST(LintBaseline, MalformedJsonYieldsAnEmptyBaseline) {
+  EXPECT_TRUE(ParseBaseline("").empty());
+  EXPECT_TRUE(ParseBaseline("not json at all").empty());
+  EXPECT_TRUE(ParseBaseline("{\"version\": 1}").empty());
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
-// Structural-model additions that arrived with the flow-sensitive engine:
-// named-lambda recognition, constructor member-brace-init handling, and
-// the integer spellings in the declared-type map (model.h).
+// Structural-model details (model.h): named-lambda recognition and
+// constructor member-brace-init handling.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "lint/callgraph.h"
 #include "lint/model.h"
 
 namespace noisybeeps::lint {
@@ -75,26 +72,6 @@ TEST(LintModelLambdas, BracketedInitializersAreNotLambdas) {
   EXPECT_EQ(Definition(file, "slot"), nullptr);
 }
 
-// Call sites inside a named lambda's body attribute to the lambda node and
-// resolve exactly, so effect closures flow through it.
-TEST(LintModelLambdas, CallGraphResolvesEdgesThroughLambdaBodies) {
-  const std::vector<SourceFile> sources = {
-      {"src/util/helpers.cc",
-       "int Helper(int x) { return x + 1; }\n"
-       "auto Apply = [](int x) { return Helper(x); };\n"},
-  };
-  const RepoModel repo(sources);
-  const CallGraph graph = CallGraph::Build(repo);
-  const std::size_t apply = graph.FindNode("Apply");
-  ASSERT_NE(apply, kNpos);
-  const CallNode& node = graph.nodes()[apply];
-  ASSERT_EQ(node.edges.size(), 1u);
-  EXPECT_EQ(node.edges[0].site.callee, "Helper");
-  EXPECT_EQ(node.edges[0].resolution, Resolution::kExact);
-  ASSERT_EQ(node.edges[0].targets.size(), 1u);
-  EXPECT_EQ(graph.nodes()[node.edges[0].targets[0]].name, "Helper");
-}
-
 // --- constructor member initializers ----------------------------------------
 
 TEST(LintModelCtors, MemberBraceInitsAreNotTheBody) {
@@ -116,45 +93,6 @@ TEST(LintModelCtors, MemberBraceInitsAreNotTheBody) {
         << "body range swallowed the init list";
   }
   EXPECT_TRUE(saw_bump);
-}
-
-// --- integer spellings in the declared-type map -----------------------------
-
-TEST(LintModelTypes, SizedAndPlainIntSpellingsAreRecorded) {
-  const FileModel file = Model(
-      "void F() {\n"
-      "  int count = 0;\n"
-      "  unsigned mask = 0;\n"
-      "  std::int64_t total = 0;\n"
-      "  std::size_t length = 0;\n"
-      "  int64_t raw = 0;\n"
-      "  uint32_t small = 0;\n"
-      "}\n");
-  const auto& types = file.value_types();
-  EXPECT_EQ(types.at("count"), "int");
-  EXPECT_EQ(types.at("mask"), "unsigned");
-  EXPECT_EQ(types.at("total"), "std::int64_t");
-  EXPECT_EQ(types.at("length"), "std::size_t");
-  EXPECT_EQ(types.at("raw"), "int64_t");
-  EXPECT_EQ(types.at("small"), "uint32_t");
-}
-
-TEST(LintModelTypes, MultiWordIntegerSpellingsStayUntyped) {
-  const FileModel file = Model(
-      "void F() {\n"
-      "  unsigned long long wide = 0;\n"
-      "  long int lengthy = 0;\n"
-      "  unsigned int narrow = 0;\n"
-      "  const int frozen = 0;\n"
-      "}\n");
-  const auto& types = file.value_types();
-  // `unsigned long long wide`: neither `long` nor `wide` gets a type.
-  EXPECT_EQ(types.count("wide"), 0u);
-  EXPECT_EQ(types.count("lengthy"), 0u);
-  // `unsigned int narrow`: ambiguous multi-word spelling, left untyped.
-  EXPECT_EQ(types.count("narrow"), 0u);
-  // `const int` is skipped: cannot be a narrowing assignment target.
-  EXPECT_EQ(types.count("frozen"), 0u);
 }
 
 }  // namespace

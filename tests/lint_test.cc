@@ -642,5 +642,270 @@ TEST(LintLocaleFormatting, StreamStateAlsoCoversPairedHeaderTypes) {
   EXPECT_EQ(findings[0].line, 5);
 }
 
+// --- call sites (how the effect rules recognise a call) ---------------------
+
+TEST(CallSites, ClassifiesFreeQualifiedAndMemberCalls) {
+  // Free and std::-qualified calls to a raw I/O function touch the disk;
+  // a method of the same name, or another namespace's, does not.
+  const auto findings = RunRuleId(
+      "io-seam-discipline",
+      {Header("src/analysis/c.cc",
+              "void Use(Log& log, Store* store) {\n"
+              "  fopen(\"a\", \"r\");\n"
+              "  std::rename(\"a\", \"b\");\n"
+              "  log.close();\n"
+              "  store->rename(\"x\");\n"
+              "  Archive::open(\"y\");\n"
+              "}\n")});
+  ASSERT_EQ(findings.size(), 2u) << FormatText(findings);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("(fopen)"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 3);
+  EXPECT_NE(findings[1].message.find("(std::rename)"), std::string::npos);
+}
+
+TEST(CallSites, DeclarationsAndControlFlowAreNotCalls) {
+  // `Type name(`, `T* name(` and `vector<T> name(` declare; if/while are
+  // control flow.  Only the send() on the last line is a call.
+  const auto findings = RunRuleId(
+      "service-layering",
+      {Header("src/service/d.cc",
+              "void Use(int n) {\n"
+              "  Endpoint connect(n);\n"
+              "  Socket* accept(nullptr);\n"
+              "  std::vector<int> listen(4);\n"
+              "  if (n) { while (n) { --n; } }\n"
+              "  n = send(n, nullptr, 0, 0);\n"
+              "}\n")});
+  ASSERT_EQ(findings.size(), 1u) << FormatText(findings);
+  EXPECT_EQ(findings[0].line, 6);
+}
+
+TEST(CallSites, ReturnedCallsAreNotVetoedAsDeclarations) {
+  // `return socket(` has an identifier before `socket(` -- the expression
+  // keyword must not read as a declaring type.
+  const auto findings = RunRuleId(
+      "service-layering",
+      {Header("src/service/r.cc", "int Open() { return socket(1, 2, 0); }\n")});
+  ASSERT_EQ(findings.size(), 1u) << FormatText(findings);
+}
+
+// --- determinism-taint ------------------------------------------------------
+
+TEST(DeterminismTaint, FlagsEverySourceKindWithItsLine) {
+  const auto findings = RunRuleId(
+      "determinism-taint",
+      {Header("src/analysis/e.cc",
+              "#include <chrono>\n"
+              "#include <unordered_map>\n"
+              "long Stamp() {\n"
+              "  return std::chrono::steady_clock::now()\n"
+              "      .time_since_epoch().count();\n"
+              "}\n"
+              "int Sum(const std::unordered_map<int, int>& m) {\n"
+              "  int s = 0;\n"
+              "  for (const auto& kv : m) { s += kv.second; }\n"
+              "  return s + (m.begin() == m.end());\n"
+              "}\n"
+              "long Knob() {\n"
+              "  return std::getenv(\"K\") != nullptr ? EnvInt64(\"N\", 1)\n"
+              "                                     : 0;\n"
+              "}\n"
+              "long Address(const int* p) {\n"
+              "  return reinterpret_cast<long>(p);\n"
+              "}\n"
+              "const int* Same(const void* p) {\n"
+              "  return reinterpret_cast<const int*>(p);\n"
+              "}\n")});
+  ASSERT_EQ(findings.size(), 6u) << FormatText(findings);
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_NE(findings[0].message.find("std::chrono::steady_clock::now"),
+            std::string::npos)
+      << findings[0].message;
+  EXPECT_NE(findings[0].message.find("in Stamp;"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 9);  // range-for over the unordered_map
+  EXPECT_EQ(findings[2].line, 10);  // m.begin()
+  EXPECT_NE(findings[2].message.find("std::unordered_map::begin"),
+            std::string::npos);
+  EXPECT_EQ(findings[3].line, 13);  // getenv
+  EXPECT_EQ(findings[4].line, 13);  // EnvInt64
+  EXPECT_EQ(findings[5].line, 17);  // pointer-to-integer; the pointer cast
+                                    // on line 20 is clean
+}
+
+TEST(DeterminismTaint, ClockAndFlagsSeamsAreExempt) {
+  const std::vector<SourceFile> files = {
+      Header("src/resilience/clock.cc",
+             "#include <chrono>\n"
+             "long SteadyNow() {\n"
+             "  return std::chrono::steady_clock::now()\n"
+             "      .time_since_epoch().count();\n"
+             "}\n"),
+      Header("src/util/flags.cc",
+             "#include <cstdlib>\n"
+             "long EnvInt64(const char* name, long fallback) {\n"
+             "  const char* raw = std::getenv(name);\n"
+             "  return raw == nullptr ? fallback : 1;\n"
+             "}\n"),
+      // Only src/ is in scope: tools and tests read clocks and the
+      // environment legitimately.
+      Header("tools/nbx.cc",
+             "long Started() { return std::chrono::steady_clock::now()"
+             ".time_since_epoch().count(); }\n"),
+      Header("tests/x_test.cc",
+             "long Knob() { return EnvInt64(\"NB_X\", 1); }\n"),
+  };
+  const auto findings = RunRuleId("determinism-taint", files);
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
+}
+
+TEST(DeterminismTaint, AcceptsTheInjectableClockPattern) {
+  // A checkpoint writer timestamping through Clock::NowMillis is the
+  // sanctioned design -- injected time is replayable, so no finding.
+  const auto findings = RunRuleId(
+      "determinism-taint",
+      {Header("src/resilience/run.cc",
+              "struct Clock { virtual long NowMillis() = 0; };\n"
+              "long StampCheckpoint(Clock& clock) {\n"
+              "  return clock.NowMillis();\n"
+              "}\n")});
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
+}
+
+TEST(DeterminismTaint, CountingThroughTheInputIsNotIteration) {
+  // Lookups into an unordered container are fine; only walking it is not.
+  const auto findings = RunRuleId(
+      "determinism-taint",
+      {Header("src/util/u.cc",
+              "#include <unordered_map>\n"
+              "int Unique(const std::vector<int>& values) {\n"
+              "  std::unordered_map<int, int> counts;\n"
+              "  for (int v : values) ++counts[v];\n"
+              "  int unique = 0;\n"
+              "  for (int v : values) unique += counts[v] == 1;\n"
+              "  return unique;\n"
+              "}\n")});
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
+}
+
+TEST(DeterminismTaint, SourcesInANamedLambdaNameTheLambda) {
+  const auto findings = RunRuleId(
+      "determinism-taint",
+      {Header("src/util/l.cc",
+              "auto Knob = [] { return std::getenv(\"K\") != nullptr; };\n")});
+  ASSERT_EQ(findings.size(), 1u) << FormatText(findings);
+  EXPECT_NE(findings[0].message.find("in Knob;"), std::string::npos)
+      << findings[0].message;
+}
+
+// --- io-seam-discipline -----------------------------------------------------
+
+TEST(IoSeamDiscipline, FlagsRawFileIoOutsideTheSeam) {
+  const auto findings = RunRuleId(
+      "io-seam-discipline",
+      {Header("src/analysis/save.cc",
+              "#include <cstdio>\n"
+              "#include <fstream>\n"
+              "void SaveStats() {\n"
+              "  std::ofstream out(\"stats.txt\");\n"
+              "}\n"
+              "void TouchMarker() { std::fopen(\"marker\", \"w\"); }\n"
+              "bool Exists() { return std::filesystem::exists(\"x\"); }\n")});
+  ASSERT_EQ(findings.size(), 3u) << FormatText(findings);
+  EXPECT_EQ(findings[0].file, "src/analysis/save.cc");
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_NE(findings[0].message.find("(std::ofstream) in SaveStats;"),
+            std::string::npos)
+      << findings[0].message;
+  EXPECT_NE(findings[0].message.find("failpoint::Fs"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 6);
+  EXPECT_EQ(findings[2].line, 7);
+}
+
+TEST(IoSeamDiscipline, TheSeamAbsorbsTheEffectForItsCallers) {
+  // The seam's own bodies touch the disk; a caller routing through the
+  // seam stays clean, exactly like resilience/clock.h for wall-clock.
+  const auto findings = RunRuleId(
+      "io-seam-discipline",
+      {Header("src/failpoint/fs.cc",
+              "#include <fstream>\n"
+              "void WriteWhole() { std::ofstream out(\"f\"); }\n"),
+       Header("src/resilience/checkpoint.cc",
+              "void WriteWhole();\n"
+              "void WriteCheckpointAtomic() { WriteWhole(); }\n")});
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
+}
+
+TEST(IoSeamDiscipline, OnlySrcIsInScope) {
+  // Tests and tools read and write files legitimately (fixtures, CSV
+  // plans); the seam rule polices the library and the benchmarks only.
+  const auto findings = RunRuleId(
+      "io-seam-discipline",
+      {Header("tests/some_test.cc",
+              "#include <fstream>\n"
+              "void WriteFixture() { std::ofstream out(\"fixture\"); }\n"),
+       Header("tools/nbtool.cc",
+              "#include <fstream>\n"
+              "void LoadPlan() { std::ifstream in(\"plan.csv\"); }\n"),
+       Header("bench/bench_x.cc",
+              "#include <fstream>\n"
+              "void Dump() { std::ofstream out(\"dump.csv\"); }\n")});
+  ASSERT_EQ(findings.size(), 1u) << FormatText(findings);
+  EXPECT_EQ(findings[0].file, "bench/bench_x.cc");
+}
+
+TEST(IoSeamDiscipline, SuppressionAboveAnIfstreamSilencesIt) {
+  // The shape nbbench uses to read /proc: the suppression comment sits on
+  // its own line and targets the stream construction below it.
+  const std::string body =
+      "#include <fstream>\n"
+      "double PeakRssMb() {\n"
+      "  // NBLINT(io-seam-discipline): reads a kernel counter\n"
+      "  std::ifstream status(\"/proc/self/status\");\n"
+      "  return 0.0;\n"
+      "}\n";
+  const auto raw =
+      RunRuleId("io-seam-discipline", {Header("bench/b.cc", body)});
+  ASSERT_EQ(raw.size(), 1u) << FormatText(raw);
+  EXPECT_EQ(raw[0].line, 4);
+  const auto findings = RunAllChecks({Header("bench/b.cc", body)});
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
+}
+
+// --- service-layering -------------------------------------------------------
+
+TEST(ServiceLayering, FlagsRawSocketCallsOutsideNbserved) {
+  const std::string body =
+      "#include <sys/socket.h>\n"
+      "int Open() {\n"
+      "  int fd = socket(AF_UNIX, SOCK_STREAM, 0);\n"
+      "  listen(fd, 8);\n"
+      "  return fd;\n"
+      "}\n";
+  const auto findings = RunRuleId(
+      "service-layering",
+      {Header("src/service/s.cc", body), Header("tools/nbsim.cc", body),
+       Header("tools/nbserved.cc", body), Header("tests/s_test.cc", body)});
+  ASSERT_EQ(findings.size(), 4u) << FormatText(findings);
+  EXPECT_EQ(findings[0].file, "src/service/s.cc");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("(socket) in Open;"), std::string::npos)
+      << findings[0].message;
+  EXPECT_EQ(findings[2].file, "tools/nbsim.cc");
+}
+
+TEST(ServiceLayering, StdBindAndConnectMethodsAreNotSocketCalls) {
+  const auto findings = RunRuleId(
+      "service-layering",
+      {Header("src/service/b.cc",
+              "#include <functional>\n"
+              "void Wire(Link& link, Handler& h) {\n"
+              "  auto f = std::bind(&Handler::Run, &h);\n"
+              "  link.connect(f);\n"
+              "  link->shutdown();\n"
+              "}\n")});
+  EXPECT_TRUE(findings.empty()) << FormatText(findings);
+}
+
 }  // namespace
 }  // namespace noisybeeps::lint

@@ -10,14 +10,6 @@
 namespace noisybeeps::lint {
 namespace {
 
-std::vector<Token> CodeTokens(const std::string& content) {
-  std::vector<Token> out;
-  for (const Token& t : Lex(content)) {
-    if (t.kind != TokenKind::kComment) out.push_back(t);
-  }
-  return out;
-}
-
 // --- lexer ------------------------------------------------------------------
 
 TEST(LintLexer, ClassifiesBasicTokenKinds) {

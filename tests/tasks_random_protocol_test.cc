@@ -32,7 +32,8 @@ TEST(RandomProtocol, DensityControlsTranscriptWeight) {
     // Quantization to 1/256 shifts the effective rate slightly.
     const double quantized = static_cast<int>(density * 256) / 256.0;
     const double expected = 1.0 - std::pow(1.0 - quantized, 8);
-    const double observed = static_cast<double>(pi.PopCount()) / pi.size();
+    const double observed = static_cast<double>(pi.PopCount()) /
+                            static_cast<double>(pi.size());
     EXPECT_NEAR(observed, expected, 0.05) << density;
   }
 }

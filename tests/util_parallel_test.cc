@@ -157,7 +157,8 @@ TEST(ParallelTrials, AggregatesLikeSerialLoop) {
   };
   const std::vector<double> results = ParallelTrials(200, rng, body, 8);
   const double mean =
-      std::accumulate(results.begin(), results.end(), 0.0) / results.size();
+      std::accumulate(results.begin(), results.end(), 0.0) /
+      static_cast<double>(results.size());
   EXPECT_NEAR(mean, 0.5, 0.02);
 }
 

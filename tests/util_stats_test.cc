@@ -49,10 +49,10 @@ TEST(RunningStat, AgreesWithTwoPassOnRandomData) {
   }
   double mean = 0;
   for (double v : values) mean += v;
-  mean /= values.size();
+  mean /= static_cast<double>(values.size());
   double var = 0;
   for (double v : values) var += (v - mean) * (v - mean);
-  var /= values.size() - 1;
+  var /= static_cast<double>(values.size() - 1);
   EXPECT_NEAR(stat.mean(), mean, 1e-9);
   EXPECT_NEAR(stat.variance(), var, 1e-6);
 }
@@ -60,7 +60,7 @@ TEST(RunningStat, AgreesWithTwoPassOnRandomData) {
 TEST(WilsonInterval, ContainsPointEstimate) {
   for (std::size_t successes : {0u, 1u, 25u, 50u, 99u, 100u}) {
     const WilsonInterval ci = WilsonScoreInterval(successes, 100);
-    const double p = successes / 100.0;
+    const double p = static_cast<double>(successes) / 100.0;
     EXPECT_LE(ci.low, p + 1e-12);
     EXPECT_GE(ci.high, p - 1e-12);
     EXPECT_GE(ci.low, 0.0);

@@ -3,10 +3,7 @@
 // ctest so every build gates on the repo linting clean.
 //
 // Usage:
-//   nblint --root=/path/to/repo            text findings (per-file rules)
-//   nblint --root=. --whole-program        + call-graph rules (taint.h)
-//   nblint --root=. --cache=build/nblint.cache
-//                                          whole-program, incremental
+//   nblint --root=/path/to/repo            text findings
 //   nblint --root=. --json | --sarif       machine-readable findings
 //   nblint --root=. --baseline=tools/nblint_baseline.json
 //                                          fail on NEW warn findings only
@@ -20,7 +17,6 @@
 // fail the build) and, with --baseline, no unbaselined warn findings
 // appear; 1 otherwise; 2 on usage/IO errors.
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -101,9 +97,6 @@ int Explain(const std::string& rule_id) {
   std::cout << rule->id << "\n"
             << "  severity: " << SeverityName(rule->severity) << "\n"
             << "  category: " << rule->category << "\n"
-            << "  mode:     "
-            << (rule->run_program != nullptr ? "whole-program" : "per-file")
-            << "\n"
             << "  summary:  " << rule->summary << "\n";
   if (!rule->rationale.empty()) {
     std::cout << "  rationale: " << rule->rationale << "\n";
@@ -123,9 +116,6 @@ int main(int argc, char** argv) {
     const bool sarif = flags.GetBool("sarif", false);
     const bool list_rules = flags.GetBool("list-rules", false);
     const std::string explain = flags.GetString("explain", "");
-    const std::string cache_path = flags.GetString("cache", "");
-    const bool whole_program =
-        flags.GetBool("whole-program", false) || !cache_path.empty();
     const std::string baseline_path = flags.GetString("baseline", "");
     const std::string write_baseline = flags.GetString("write-baseline", "");
     for (const std::string& unknown : flags.UnconsumedFlags()) {
@@ -139,9 +129,7 @@ int main(int argc, char** argv) {
     if (list_rules) {
       for (const Rule& rule : noisybeeps::lint::AllRules()) {
         std::cout << rule.id << " [" << SeverityName(rule.severity) << ", "
-                  << rule.category
-                  << (rule.run_program != nullptr ? ", whole-program" : "")
-                  << "] " << rule.summary << "\n";
+                  << rule.category << "] " << rule.summary << "\n";
       }
       return 0;
     }
@@ -153,28 +141,9 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    noisybeeps::lint::LintOptions options;
-    options.whole_program = whole_program;
-    noisybeeps::lint::LintStats stats;
-    options.stats = &stats;
-    std::string cache_out;
-    if (!cache_path.empty()) {
-      options.cache_in = ReadFileOrEmpty(cache_path);
-      options.cache_out = &cache_out;
-    }
-
-    const auto started = std::chrono::steady_clock::now();
     const std::vector<Finding> findings =
-        noisybeeps::lint::RunAllChecks(files, options);
-    const auto elapsed_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - started)
-            .count();
+        noisybeeps::lint::RunAllChecks(files);
 
-    if (!cache_path.empty() && !WriteFile(cache_path, cache_out)) {
-      std::cerr << "nblint: cannot write cache " << cache_path << "\n";
-      return 2;
-    }
     if (!write_baseline.empty() &&
         !WriteFile(write_baseline,
                    noisybeeps::lint::FormatBaseline(findings))) {
@@ -203,14 +172,7 @@ int main(int argc, char** argv) {
     }
     std::ostream& log = (json || sarif) ? std::cerr : std::cout;
     log << "nblint: " << files.size() << " files, " << findings.size()
-        << " finding(s), " << errors << " error(s)";
-    if (whole_program) {
-      log << "; whole-program: " << stats.nodes << " nodes, " << stats.edges
-          << " edges (" << stats.resolved_edges << " resolved), cache "
-          << stats.cache_hits << "/" << stats.files << " hits, "
-          << elapsed_ms << " ms";
-    }
-    log << "\n";
+        << " finding(s), " << errors << " error(s)\n";
     if (!fresh.empty()) {
       std::cerr << "nblint: " << fresh.size()
                 << " warn finding(s) not in baseline " << baseline_path
