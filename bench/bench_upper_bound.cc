@@ -66,7 +66,8 @@ void BM_RewindOverhead_InputSet(benchmark::State& state) {
   ReportCell(state, run, n);
 }
 BENCHMARK(BM_RewindOverhead_InputSet)
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
+    ->Arg(1024)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_RewindOverhead_BitExchange(benchmark::State& state) {

@@ -1,11 +1,16 @@
 #include "coding/owner_finding.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "util/require.h"
 
 namespace noisybeeps {
 namespace {
+
+// Side of the transposed bit blocks: one packed word.
+constexpr std::size_t kBlock = BitString::kWordBits;
 
 // Party-local owner-finding state; everything here is derived from the
 // party's input and the bits it received, never from other parties' state.
@@ -27,6 +32,26 @@ std::uint64_t NextMessage(int party, const LocalState& state,
     }
   }
   return code.next_token();
+}
+
+// A party that transmits this iteration, and the codeword it beeps.
+struct Speaker {
+  int party;
+  std::span<const std::uint64_t> codeword;
+};
+
+// Transposes a 64x64 bit matrix in place: bit c of rows[r] moves to bit r
+// of rows[c].  Each pass swaps the off-diagonal blocks of every 2j x 2j
+// block, for j = 32, 16, ..., 1.
+void Transpose64(std::array<std::uint64_t, kBlock>& rows) {
+  std::uint64_t mask = 0x00000000ffffffffULL;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < kBlock; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t swap = ((rows[k] >> j) ^ rows[k | j]) & mask;
+      rows[k] ^= swap << j;
+      rows[k | j] ^= swap;
+    }
+  }
 }
 
 }  // namespace
@@ -52,10 +77,20 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
   }
 
   engine.SetPhase("owner-finding");
+  const CodebookCode& book = code.codebook();
   const std::size_t word_len = code.codeword_length();
+  const std::size_t stride = book.words_per_codeword();
+  const std::size_t party_words = WordsForParties(n);
   const int iterations = static_cast<int>(chunk_len) + n;
-  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
-  std::vector<BitString> received(n);
+  std::vector<std::uint64_t> beeps(party_words, 0);
+  std::vector<Speaker> speakers;
+  // One iteration's rounds as RoundWords returns them, round-major:
+  // rounds[t * party_words + w] is word w of round t.
+  std::vector<std::uint64_t> rounds(word_len * party_words);
+  // The same bits party-major: received[i * stride + k] is word k of
+  // party i's received codeword.
+  std::vector<std::uint64_t> received(party_words * kBlock * stride);
+  std::array<std::uint64_t, kBlock> block{};
 
   for (int l = 0; l < iterations; ++l) {
     // Transmission: each party that believes it holds the turn beeps its
@@ -63,33 +98,57 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
     // beliefs agree and exactly one party speaks; under independent noise
     // diverged beliefs can collide -- the OR then garbles the word, which
     // downstream verification treats as any other decoding error.)
-    std::vector<BitString> words(n);
+    speakers.clear();
     for (int i = 0; i < n; ++i) {
       if (state[i].turn == i) {
-        words[i] = code.Encode(
-            NextMessage(i, state[i], pi_view[i], beeped[i], code));
+        speakers.push_back({i, book.CodewordWords(NextMessage(
+                                   i, state[i], pi_view[i], beeped[i], code))});
       }
     }
-    for (int i = 0; i < n; ++i) received[i] = BitString();
     for (std::size_t t = 0; t < word_len; ++t) {
       std::fill(beeps.begin(), beeps.end(), 0);
-      for (int i = 0; i < n; ++i) {
-        if (!words[i].empty() && words[i][t]) SetPackedBit(beeps, i, true);
+      for (const Speaker& speaker : speakers) {
+        if ((speaker.codeword[t / kBlock] >> (t % kBlock)) & 1u) {
+          SetPackedBit(beeps, speaker.party, true);
+        }
       }
       const std::span<const std::uint64_t> round_bits =
           engine.RoundWords(beeps);
-      for (int i = 0; i < n; ++i) {
-        received[i].PushBack(PackedBit(round_bits, i));
+      std::copy(round_bits.begin(), round_bits.end(),
+                rounds.data() + t * party_words);
+    }
+    // Block (w, k) holds rounds 64k.. of parties 64w..; rounds past the
+    // codeword are zero rows, so every received word has a zero tail.
+    for (std::size_t w = 0; w < party_words; ++w) {
+      for (std::size_t k = 0; k < stride; ++k) {
+        for (std::size_t r = 0; r < kBlock; ++r) {
+          const std::size_t t = k * kBlock + r;
+          block[r] = t < word_len ? rounds[t * party_words + w] : 0;
+        }
+        Transpose64(block);
+        for (std::size_t p = 0; p < kBlock; ++p) {
+          received[(w * kBlock + p) * stride + k] = block[p];
+        }
       }
     }
     // Decoding + state update, per party, from that party's received bits.
+    // Decoding is a pure function of the word, so a party that received
+    // the word decoded last reuses its message: under a shared-draw
+    // channel that is every party after the first.
+    const std::uint64_t* decoded = nullptr;
+    std::uint64_t sigma = 0;
     for (int i = 0; i < n; ++i) {
       // Once this party's turn counter has run past the last party (only
       // possible after decoding errors), every remaining iteration carries
       // no usable information for it: ignore locally rather than record
       // claims by a non-existent party.
       if (state[i].turn >= n) continue;
-      const std::uint64_t sigma = code.Decode(received[i]);
+      const std::uint64_t* word =
+          received.data() + static_cast<std::size_t>(i) * stride;
+      if (decoded == nullptr || !std::equal(word, word + stride, decoded)) {
+        sigma = book.DecodeWords({word, stride});
+        decoded = word;
+      }
       if (sigma == code.next_token()) {
         ++state[i].turn;
       } else {

@@ -1,5 +1,7 @@
 #include "ecc/codebook.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -8,33 +10,66 @@
 namespace noisybeeps {
 namespace {
 
-BitString RandomWord(std::size_t length, Rng& rng) {
-  BitString word;
-  for (std::size_t i = 0; i < length; ++i) word.PushBack(rng.Bit());
-  return word;
+std::size_t WordsFor(std::size_t length) {
+  return (length + BitString::kWordBits - 1) / BitString::kWordBits;
 }
 
-bool Contains(const std::vector<BitString>& book, const BitString& word) {
-  for (const BitString& w : book) {
-    if (w == word) return true;
+// Fills `word` with `length` fresh bits, one rng.Bit() per position in
+// order -- the draw order the books have always used.
+void DrawWord(std::size_t length, Rng& rng, std::span<std::uint64_t> word) {
+  std::fill(word.begin(), word.end(), 0);
+  for (std::size_t i = 0; i < length; ++i) {
+    if (rng.Bit()) {
+      word[i / BitString::kWordBits] |= std::uint64_t{1}
+                                        << (i % BitString::kWordBits);
+    }
+  }
+}
+
+std::size_t Distance(const std::uint64_t* a, const std::uint64_t* b,
+                     std::size_t stride) {
+  std::size_t d = 0;
+  for (std::size_t k = 0; k < stride; ++k) {
+    d += static_cast<std::size_t>(std::popcount(a[k] ^ b[k]));
+  }
+  return d;
+}
+
+// True iff `word` is one of the codewords packed in `book`.
+bool Contains(std::span<const std::uint64_t> book,
+              std::span<const std::uint64_t> word) {
+  for (std::size_t at = 0; at < book.size(); at += word.size()) {
+    if (std::equal(word.begin(), word.end(), book.begin() + at)) return true;
   }
   return false;
 }
 
 }  // namespace
 
-CodebookCode::CodebookCode(std::vector<BitString> codebook)
-    : codebook_(std::move(codebook)) {
-  NB_REQUIRE(codebook_.size() >= 2, "codebook needs at least two words");
-  const std::size_t length = codebook_.front().size();
-  NB_REQUIRE(length > 0, "codewords must be non-empty");
-  for (std::size_t i = 0; i < codebook_.size(); ++i) {
-    NB_REQUIRE(codebook_[i].size() == length, "codeword lengths differ");
-    for (std::size_t j = i + 1; j < codebook_.size(); ++j) {
-      NB_REQUIRE(!(codebook_[i] == codebook_[j]), "duplicate codewords");
-    }
+CodebookCode::CodebookCode(const std::vector<BitString>& codebook)
+    : length_(0), stride_(0), num_messages_(codebook.size()) {
+  NB_REQUIRE(codebook.size() >= 2, "codebook needs at least two words");
+  length_ = codebook.front().size();
+  NB_REQUIRE(length_ > 0, "codewords must be non-empty");
+  stride_ = WordsFor(length_);
+  words_.reserve(codebook.size() * stride_);
+  for (const BitString& word : codebook) {
+    NB_REQUIRE(word.size() == length_, "codeword lengths differ");
+    words_.insert(words_.end(), word.words().begin(), word.words().end());
+  }
+  const std::span<const std::uint64_t> book(words_);
+  for (std::size_t at = stride_; at < book.size(); at += stride_) {
+    NB_REQUIRE(!Contains(book.first(at), book.subspan(at, stride_)),
+               "duplicate codewords");
   }
 }
+
+CodebookCode::CodebookCode(std::size_t length,
+                           std::vector<std::uint64_t> words)
+    : length_(length),
+      stride_(WordsFor(length)),
+      num_messages_(words.size() / stride_),
+      words_(std::move(words)) {}
 
 CodebookCode CodebookCode::Random(std::uint64_t num_messages,
                                   std::size_t length, std::uint64_t seed) {
@@ -42,13 +77,16 @@ CodebookCode CodebookCode::Random(std::uint64_t num_messages,
   NB_REQUIRE(length >= 64 || num_messages <= (std::uint64_t{1} << length),
              "message space larger than word space");
   Rng rng(seed);
-  std::vector<BitString> book;
-  book.reserve(num_messages);
-  while (book.size() < num_messages) {
-    BitString candidate = RandomWord(length, rng);
-    if (!Contains(book, candidate)) book.push_back(std::move(candidate));
+  std::vector<std::uint64_t> candidate(WordsFor(length));
+  std::vector<std::uint64_t> book;
+  book.reserve(num_messages * candidate.size());
+  while (book.size() < num_messages * candidate.size()) {
+    DrawWord(length, rng, candidate);
+    if (!Contains(book, candidate)) {
+      book.insert(book.end(), candidate.begin(), candidate.end());
+    }
   }
-  return CodebookCode(std::move(book));
+  return CodebookCode(length, std::move(book));
 }
 
 CodebookCode CodebookCode::GilbertVarshamov(std::uint64_t num_messages,
@@ -59,43 +97,45 @@ CodebookCode CodebookCode::GilbertVarshamov(std::uint64_t num_messages,
   NB_REQUIRE(min_distance >= 1 && min_distance <= length,
              "minimum distance out of range");
   Rng rng(seed);
-  std::vector<BitString> book;
-  book.reserve(num_messages);
+  std::vector<std::uint64_t> candidate(WordsFor(length));
+  std::vector<std::uint64_t> book;
+  book.reserve(num_messages * candidate.size());
   // Generous attempt budget: random candidates succeed with constant
   // probability while below the GV bound.
   const std::uint64_t max_attempts = 4096 * num_messages + 65536;
   std::uint64_t attempts = 0;
-  while (book.size() < num_messages) {
+  while (book.size() < num_messages * candidate.size()) {
     if (++attempts > max_attempts) {
       throw std::runtime_error(
           "GilbertVarshamov: could not build codebook; parameters exceed the "
           "GV bound for this length/distance");
     }
-    BitString candidate = RandomWord(length, rng);
+    DrawWord(length, rng, candidate);
     bool ok = true;
-    for (const BitString& w : book) {
-      if (w.HammingDistance(candidate) < min_distance) {
-        ok = false;
-        break;
-      }
+    for (std::size_t at = 0; ok && at < book.size(); at += candidate.size()) {
+      ok = Distance(book.data() + at, candidate.data(), candidate.size()) >=
+           min_distance;
     }
-    if (ok) book.push_back(std::move(candidate));
+    if (ok) book.insert(book.end(), candidate.begin(), candidate.end());
   }
-  return CodebookCode(std::move(book));
+  return CodebookCode(length, std::move(book));
 }
 
-BitString CodebookCode::Encode(std::uint64_t message) const {
-  NB_REQUIRE(message < codebook_.size(), "message out of range");
-  return codebook_[message];
+std::span<const std::uint64_t> CodebookCode::CodewordWords(
+    std::uint64_t message) const {
+  NB_REQUIRE(message < num_messages_, "message out of range");
+  return std::span<const std::uint64_t>(words_).subspan(message * stride_,
+                                                        stride_);
 }
 
-std::uint64_t CodebookCode::Decode(const BitString& received) const {
-  NB_REQUIRE(received.size() == codeword_length(),
-             "received word has wrong length");
+std::uint64_t CodebookCode::DecodeWords(
+    std::span<const std::uint64_t> received) const {
+  NB_REQUIRE(received.size() == stride_, "received word has wrong length");
   std::uint64_t best_message = 0;
   std::size_t best_distance = std::numeric_limits<std::size_t>::max();
-  for (std::uint64_t m = 0; m < codebook_.size(); ++m) {
-    const std::size_t d = codebook_[m].HammingDistance(received);
+  const std::uint64_t* codeword = words_.data();
+  for (std::uint64_t m = 0; m < num_messages_; ++m, codeword += stride_) {
+    const std::size_t d = Distance(codeword, received.data(), stride_);
     if (d < best_distance) {
       best_distance = d;
       best_message = m;
@@ -104,9 +144,21 @@ std::uint64_t CodebookCode::Decode(const BitString& received) const {
   return best_message;
 }
 
+BitString CodebookCode::Encode(std::uint64_t message) const {
+  const std::span<const std::uint64_t> codeword = CodewordWords(message);
+  BitString word(length_);
+  for (std::size_t k = 0; k < stride_; ++k) word.SetWord(k, codeword[k]);
+  return word;
+}
+
+std::uint64_t CodebookCode::Decode(const BitString& received) const {
+  NB_REQUIRE(received.size() == length_, "received word has wrong length");
+  return DecodeWords(received.words());
+}
+
 std::string CodebookCode::name() const {
-  return "Codebook(q=" + std::to_string(codebook_.size()) +
-         ",L=" + std::to_string(codeword_length()) + ")";
+  return "Codebook(q=" + std::to_string(num_messages_) +
+         ",L=" + std::to_string(length_) + ")";
 }
 
 }  // namespace noisybeeps

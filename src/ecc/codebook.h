@@ -8,10 +8,16 @@
 // Decoding is exact nearest-codeword search, which is the maximum
 // likelihood rule on any binary-symmetric channel with flip probability
 // below 1/2.
+//
+// The book is one contiguous array of packed words, ceil(L/64) per
+// codeword and packed like BitString::words(), so a decode is XOR and
+// popcount over that array at any length L.  Encode and Decode are
+// BitString adapters over CodewordWords and DecodeWords.
 #ifndef NOISYBEEPS_ECC_CODEBOOK_H_
 #define NOISYBEEPS_ECC_CODEBOOK_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ecc/code.h"
@@ -21,9 +27,9 @@ namespace noisybeeps {
 
 class CodebookCode final : public BinaryCode {
  public:
-  // Takes ownership of an explicit codebook.  Preconditions: at least two
-  // codewords, all of equal positive length, all distinct.
-  explicit CodebookCode(std::vector<BitString> codebook);
+  // Copies an explicit codebook.  Preconditions: at least two codewords,
+  // all of equal positive length, all distinct.
+  explicit CodebookCode(const std::vector<BitString>& codebook);
 
   // A codebook of `num_messages` iid uniform codewords of `length` bits.
   // Codewords are re-drawn on collision so the book is always valid.
@@ -40,17 +46,40 @@ class CodebookCode final : public BinaryCode {
                                        std::uint64_t seed);
 
   [[nodiscard]] std::uint64_t num_messages() const override {
-    return codebook_.size();
+    return num_messages_;
   }
   [[nodiscard]] std::size_t codeword_length() const override {
-    return codebook_.front().size();
+    return length_;
   }
+
+  // Packed words per codeword: ceil(codeword_length() / 64).
+  [[nodiscard]] std::size_t words_per_codeword() const { return stride_; }
+
+  // The codeword of `message`: bit t at bit t % 64 of word t / 64, bits
+  // past codeword_length() zero.  Precondition: message < num_messages().
+  [[nodiscard]] std::span<const std::uint64_t> CodewordWords(
+      std::uint64_t message) const;
+
+  // Decode on a packed word (ties break toward the smaller message index).
+  // Bits past codeword_length() add the same count to every distance, so
+  // they never change the result.
+  // Precondition: received.size() == words_per_codeword().
+  [[nodiscard]] std::uint64_t DecodeWords(
+      std::span<const std::uint64_t> received) const;
+
   [[nodiscard]] BitString Encode(std::uint64_t message) const override;
   [[nodiscard]] std::uint64_t Decode(const BitString& received) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
-  std::vector<BitString> codebook_;
+  // Takes a packed book of distinct codewords (the factories' duty).
+  CodebookCode(std::size_t length, std::vector<std::uint64_t> words);
+
+  std::size_t length_;
+  std::size_t stride_;
+  std::uint64_t num_messages_;
+  // Codeword m is words_[m * stride_, (m + 1) * stride_).
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace noisybeeps

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "ecc/code.h"
 #include "util/rng.h"
@@ -130,6 +134,132 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, CodebookBscTest,
     ::testing::Combine(::testing::Values(5, 17, 65),
                        ::testing::Values(0.02, 0.05, 0.10)));
+
+// --- decode against a linear scan ------------------------------------------
+
+// The specification of Decode: the lowest index among the codewords at
+// minimum Hamming distance, found by scanning the BitString codewords.
+std::uint64_t LinearScanDecode(const std::vector<BitString>& book,
+                               const BitString& received) {
+  std::uint64_t best = 0;
+  for (std::uint64_t m = 1; m < book.size(); ++m) {
+    if (book[m].HammingDistance(received) <
+        book[best].HammingDistance(received)) {
+      best = m;
+    }
+  }
+  return best;
+}
+
+std::vector<BitString> BookOf(const CodebookCode& code) {
+  std::vector<BitString> book;
+  for (std::uint64_t m = 0; m < code.num_messages(); ++m) {
+    book.push_back(code.Encode(m));
+  }
+  return book;
+}
+
+BitString RandomBits(std::size_t length, Rng& rng) {
+  BitString word(length);
+  for (std::size_t i = 0; i < length; ++i) word.Set(i, rng.Bit());
+  return word;
+}
+
+class CodebookScanTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CodebookScanTest, DecodeEqualsLinearScanOnRandomWords) {
+  const std::size_t length = GetParam();
+  const std::uint64_t q = length == 1 ? 2 : 33;
+  const CodebookCode code = CodebookCode::Random(q, length, 17 + length);
+  const std::vector<BitString> book = BookOf(code);
+  Rng rng(99 + length);
+  for (int trial = 0; trial < 400; ++trial) {
+    const BitString received = RandomBits(length, rng);
+    const std::uint64_t expected = LinearScanDecode(book, received);
+    EXPECT_EQ(code.Decode(received), expected)
+        << "L=" << length << " trial " << trial;
+    EXPECT_EQ(code.DecodeWords(received.words()), expected)
+        << "L=" << length << " trial " << trial;
+  }
+  for (std::uint64_t m = 0; m < q; ++m) {
+    EXPECT_EQ(code.Decode(book[m]), m) << "L=" << length;
+    const std::span<const std::uint64_t> packed = code.CodewordWords(m);
+    EXPECT_TRUE(std::equal(packed.begin(), packed.end(),
+                           book[m].words().begin(), book[m].words().end()))
+        << "L=" << length << " m=" << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, CodebookScanTest,
+                         ::testing::Values(1, 63, 64, 65, 128, 130));
+
+class CodebookTieTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CodebookTieTest, ExactTiesBreakToTheLowestIndex) {
+  // Codeword 1 is codeword 3 with 2k bits flipped; flipping k of them in
+  // codeword 3 gives a word at distance k from both.  Index 1 must win
+  // whenever no other codeword is as close, and the scan must agree always.
+  const std::size_t length = GetParam();
+  Rng rng(5 + length);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<BitString> book;
+    while (book.size() < 6) {
+      BitString word = RandomBits(length, rng);
+      bool fresh = true;
+      for (const BitString& w : book) fresh = fresh && w != word;
+      if (fresh) book.push_back(std::move(word));
+    }
+    const std::size_t k = 1 + rng.UniformInt(length / 2);
+    BitString twin = book[3];
+    BitString received = book[3];
+    for (std::size_t flipped = 0; flipped < 2 * k;) {
+      const std::size_t p = rng.UniformInt(length);
+      if (twin[p] != book[3][p]) continue;
+      twin.Set(p, !twin[p]);
+      if (flipped < k) received.Set(p, !received[p]);
+      ++flipped;
+    }
+    bool fresh = true;
+    for (const BitString& w : book) fresh = fresh && w != twin;
+    if (!fresh) continue;
+    book[1] = twin;
+    ASSERT_EQ(book[1].HammingDistance(received),
+              book[3].HammingDistance(received));
+    const CodebookCode code(book);
+    const std::uint64_t expected = LinearScanDecode(book, received);
+    EXPECT_EQ(code.Decode(received), expected) << "L=" << length;
+    EXPECT_NE(expected, 3u);
+    EXPECT_EQ(code.Decode(book[3]), 3u);
+  }
+}
+
+// Length 1 holds only two words, so it cannot tie; the scan test covers it.
+INSTANTIATE_TEST_SUITE_P(Lengths, CodebookTieTest,
+                         ::testing::Values(63, 64, 65, 128, 130));
+
+// --- pinned books ----------------------------------------------------------
+
+// FNV-1a over every codeword's bits in message order.
+std::uint64_t BookDigest(const CodebookCode& code) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::uint64_t m = 0; m < code.num_messages(); ++m) {
+    const BitString word = code.Encode(m);
+    for (std::size_t i = 0; i < word.size(); ++i) {
+      hash = (hash ^ (word[i] ? 1u : 0u)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(CodebookCode, RandomBooksArePinned) {
+  // The owner-phase books of the rewind scheme at n = 128 and n = 1024
+  // (chunk_len = n, length factor 6, seed 0x5eedbee9 + chunk_len).  The
+  // second needs two words per codeword.
+  EXPECT_EQ(BookDigest(CodebookCode::Random(129, 54, 0x5eedbee9 + 128)),
+            0xd468a3398765b96bULL);
+  EXPECT_EQ(BookDigest(CodebookCode::Random(1025, 72, 0x5eedbee9 + 1024)),
+            0x932c6cc526ee86cdULL);
+}
 
 }  // namespace
 }  // namespace noisybeeps

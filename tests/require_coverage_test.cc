@@ -143,6 +143,17 @@ TEST(RequireCoverage, CodebookCodeRejectsDegenerateCodebooks) {
   EXPECT_NO_THROW(CodebookCode({BitString({1, 0}), BitString({0, 1})}));
 }
 
+TEST(RequireCoverage, CodebookCodePackedAccessRejectsBadArguments) {
+  // 70-bit codewords: two packed words each.
+  const CodebookCode code = CodebookCode::Random(4, 70, 1);
+  EXPECT_THROW((void)code.CodewordWords(4), std::invalid_argument);
+  EXPECT_NO_THROW((void)code.CodewordWords(3));
+  const std::vector<std::uint64_t> one_word(1, 0);
+  const std::vector<std::uint64_t> two_words(2, 0);
+  EXPECT_THROW((void)code.DecodeWords(one_word), std::invalid_argument);
+  EXPECT_NO_THROW((void)code.DecodeWords(two_words));
+}
+
 TEST(RequireCoverage, BeepCodeRejectsBadParameters) {
   EXPECT_THROW(BeepCode(0, 6, 1), std::invalid_argument);
   EXPECT_THROW(BeepCode(8, 0, 1), std::invalid_argument);
