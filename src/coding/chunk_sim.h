@@ -35,11 +35,18 @@ struct ChunkAttempt {
   std::vector<std::vector<int>> owners;
 };
 
-// Simulates rounds [start, start + chunk_len) of `protocol`.
-// `committed[i]` is party i's committed transcript prefix (its view of the
-// first `start` simulated rounds); all committed prefixes must have length
-// == start.  rep_factor >= 1.  When `code` is non-null the owner phase
-// runs with that code (code->chunk_len() must equal chunk_len).
+// Simulates rounds [start, start + chunk_len) of `protocol`, extending
+// every party's transcript in place.  `transcripts[i]` enters as party i's
+// committed prefix (its view of the first `start` simulated rounds; all
+// must have length == start) and leaves extended by the chunk bits party i
+// decoded, the same bits as the attempt's candidate[i].  rep_factor >= 1.
+// When `code` is non-null the owner phase runs with that code
+// (code->chunk_len() must equal chunk_len).
+[[nodiscard]] ChunkAttempt SimulateChunkInPlace(
+    const Protocol& protocol, std::vector<BitString>& transcripts, int start,
+    int chunk_len, int rep_factor, const BeepCode* code, RoundEngine& engine);
+
+// SimulateChunkInPlace on a copy of `committed`, which stays unchanged.
 [[nodiscard]] ChunkAttempt SimulateChunk(const Protocol& protocol,
                                          const std::vector<BitString>& committed,
                                          int start, int chunk_len,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "coding/chunk_sim.h"
 #include "fault/injection.h"
@@ -11,15 +12,17 @@
 namespace noisybeeps::internal {
 namespace {
 
-// Appends a chunk attempt to every party's state.  When the attempt has no
-// owner phase, owners extend with -1 (kDownOnly needs none).
-void AppendAttempt(CommitState& state, const ChunkAttempt& attempt) {
+// Commits a chunk attempt whose candidate bits SimulateChunkInPlace already
+// appended to the transcripts: appends its recorded beeps and owners to
+// every party's state.  When the attempt has no owner phase, owners extend
+// with -1 (kDownOnly needs none).
+void CommitAttempt(CommitState& state, const ChunkAttempt& attempt) {
   const int n = state.num_parties();
-  NB_REQUIRE(static_cast<int>(attempt.candidate.size()) == n,
+  NB_REQUIRE(static_cast<int>(attempt.beeped.size()) == n,
              "attempt party count mismatch");
-  const std::size_t chunk_len = attempt.candidate.front().size();
+  const std::size_t chunk_len = attempt.beeped.front().size();
   for (int i = 0; i < n; ++i) {
-    state.committed[i].Append(attempt.candidate[i]);
+    state.beeped[i].Append(attempt.beeped[i]);
     if (attempt.owners.empty()) {
       state.owners[i].insert(state.owners[i].end(), chunk_len, -1);
     } else {
@@ -29,12 +32,15 @@ void AppendAttempt(CommitState& state, const ChunkAttempt& attempt) {
   }
 }
 
-// Truncates every party's state to `len` rounds.
+// Truncates every party's state to `len` rounds.  On a rewind only the
+// transcripts have grown past `len`; the beeps and owners are already that
+// long.
 void TruncateTo(CommitState& state, std::size_t len) {
   for (int i = 0; i < state.num_parties(); ++i) {
-    NB_REQUIRE(len <= state.committed[i].size(),
+    NB_REQUIRE(len <= state.beeped[i].size(),
                "verified prefix longer than committed transcript");
     state.committed[i].Truncate(len);
+    state.beeped[i].Truncate(len);
     state.owners[i].resize(len);
   }
 }
@@ -80,14 +86,20 @@ void RequireValidSchedule(const Protocol& protocol,
 
 // Runs one binary-search audit over the full committed transcript and
 // truncates every party's state to party 0's verified prefix, which it
-// returns (the scheme's working view of progress).
-std::size_t Audit(const Protocol& protocol, CommitState& state,
-                  RoundEngine& engine, const RewindSimOptions& options,
-                  int flag_reps, DivergenceTracker& tracker) {
+// returns (the scheme's working view of progress).  Each party finds its
+// first violation from its recorded beeps.
+std::size_t Audit(CommitState& state, RoundEngine& engine,
+                  const RewindSimOptions& options, int flag_reps,
+                  DivergenceTracker& tracker) {
   const std::size_t len = state.committed.front().size();
   if (len == 0) return 0;
-  const std::vector<std::size_t> first_violation =
-      AllFirstViolations(protocol, state, 0, options.regime);
+  const int n = state.num_parties();
+  std::vector<std::size_t> first_violation(n);
+  for (int i = 0; i < n; ++i) {
+    first_violation[i] =
+        FirstViolationFromBeeps(i, state.beeped[i], state.committed[i],
+                                state.owners[i], options.regime);
+  }
   engine.SetPhase("audit");
   const std::vector<std::size_t> verified = BinarySearchVerifiedPrefix(
       engine, first_violation, len, flag_reps, options.flag_rule);
@@ -156,7 +168,7 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
       // transcript survives.
       const int level =
           CeilLog2(static_cast<std::uint64_t>(commits < 2 ? 2 : commits)) + 2;
-      start = static_cast<int>(Audit(protocol, state, engine, options,
+      start = static_cast<int>(Audit(state, engine, options,
                                      audits->base + level * audits->slope,
                                      tracker));
       if (start == T) break;
@@ -176,8 +188,9 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
       }
       code = &it->second;
     }
-    ChunkAttempt attempt = SimulateChunk(protocol, state.committed, start,
-                                         chunk_len, rep_factor, code, engine);
+    ChunkAttempt attempt =
+        SimulateChunkInPlace(protocol, state.committed, start, chunk_len,
+                             rep_factor, code, engine);
     if (options.scheduled()) {
       InjectScheduleOwners(attempt, options.owner_schedule, start);
     }
@@ -186,14 +199,18 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
       tracker.Observe(attempt.owners, "owner-finding", engine.rounds_used());
     }
 
-    // Verification: each party checks the candidate extension against its
-    // own beeps (and its owned 1s), then the flags are OR'd noisily.
-    AppendAttempt(state, attempt);
-    const std::vector<std::size_t> first_violation = AllFirstViolations(
-        protocol, state, static_cast<std::size_t>(start), options.regime);
+    // Verification: each party checks the candidate extension against the
+    // beeps it recorded while simulating it (and its owned 1s), then the
+    // flags are OR'd noisily.
     std::vector<std::uint8_t> flags(n, 0);
     for (int i = 0; i < n; ++i) {
-      flags[i] = first_violation[i] < state.committed[i].size() ? 1 : 0;
+      const std::span<const int> owners =
+          attempt.owners.empty() ? std::span<const int>()
+                                 : std::span<const int>(attempt.owners[i]);
+      const std::size_t violation =
+          FirstViolationFromBeeps(i, attempt.beeped[i], attempt.candidate[i],
+                                  owners, options.regime);
+      flags[i] = violation < attempt.candidate[i].size() ? 1 : 0;
     }
     engine.SetPhase("verify-flags");
     const std::vector<std::uint8_t> verdict =
@@ -206,13 +223,14 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
       TruncateTo(state, static_cast<std::size_t>(start));
       continue;
     }
+    CommitAttempt(state, attempt);
     start += chunk_len;
     ++commits;
     if (audits == nullptr) continue;
     // Escalating audits: a level-l audit after every 2^l-th commit.
     for (int l = 1; l <= audits->max_level && commits % (1LL << l) == 0;
          ++l) {
-      start = static_cast<int>(Audit(protocol, state, engine, options,
+      start = static_cast<int>(Audit(state, engine, options,
                                      audits->base + l * audits->slope,
                                      tracker));
     }

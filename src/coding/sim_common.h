@@ -2,11 +2,12 @@
 // rewind-if-error simulators run.
 //
 // CommitState is the per-party progress of a chunked simulation: each
-// party's committed reconstruction of the noiseless transcript plus its
-// owner records.  Under a correlated channel all per-party entries stay
-// identical (every decision below is a deterministic function of shared
-// received bits); under the independent channel they may diverge, which
-// surfaces as a simulation failure in the caller's success metric.
+// party's committed reconstruction of the noiseless transcript, the bits it
+// beeped in those rounds, and its owner records.  Under a correlated
+// channel all per-party entries stay identical (every decision below is a
+// deterministic function of shared received bits); under the independent
+// channel they may diverge, which surfaces as a simulation failure in the
+// caller's success metric.
 //
 // Control-flow synchronization: commit/rewind decisions are taken from
 // party 0's decoded verdict.  Under correlated noise this is exactly the
@@ -68,21 +69,28 @@ class DivergenceTracker {
   std::int64_t first_round_ = -1;
 };
 
+// beeped[i][m] is what party i beeped in committed round m, recorded when
+// the round was simulated: by purity, its beep function on committed[i]'s
+// first m bits.  The chunk loop extends and truncates `committed`,
+// `beeped` and `owners` together, so verification and audits read the
+// recorded beeps instead of replaying the beep function.
 struct CommitState {
   std::vector<BitString> committed;        // per-party transcripts
+  std::vector<BitString> beeped;           // per-party recorded beeps
   std::vector<std::vector<int>> owners;    // per-party owner records
 
   explicit CommitState(int num_parties)
-      : committed(num_parties), owners(num_parties) {}
+      : committed(num_parties), beeped(num_parties), owners(num_parties) {}
 
   [[nodiscard]] int num_parties() const {
     return static_cast<int>(committed.size());
   }
 };
 
-// first-violation index for every party over its own committed transcript,
-// ignoring violations before round `from` (already-committed rounds a flat
-// scheme cannot revisit).
+// The replay reference: FirstViolation for every party over its own
+// committed transcript and owners (`beeped` is not read), ignoring
+// violations before round `from`.  No simulator calls it; the benchmark's
+// layer replay does.
 [[nodiscard]] std::vector<std::size_t> AllFirstViolations(
     const Protocol& protocol, const CommitState& state, std::size_t from,
     NoiseRegime regime);
@@ -100,15 +108,17 @@ struct AuditSchedule {
 
 // The rewind-if-error chunk loop, with the chunk parameters `scheme`
 // resolves for the protocol's n.  Per chunk attempt: simulate the chunk
-// (with the owner phase when the options call for one, or the schedule's
-// owners), append it to the committed state, verify, exchange flags, and
-// commit or rewind on party 0's verdict.  With `audits` (the hierarchical
-// scheme) the loop also runs the schedule's audits and ends at a passed
-// final audit; without (the flat scheme) it ends at its last commit.  The
-// budget of `max_rounds` is checked before every chunk attempt and, with
-// `audits`, before every final audit: the flat scheme's last commit may
-// overrun it without exhausting the run.  Faults are injected at the
-// round boundary.
+// straight onto the committed transcripts (with the owner phase when the
+// options call for one, or the schedule's owners), verify it from the
+// beeps recorded while simulating it, exchange flags, and on party 0's
+// verdict either commit (append the attempt's beeps and owners) or rewind
+// (truncate the transcripts back to the chunk's start).  With `audits`
+// (the hierarchical scheme) the loop also runs the schedule's audits and
+// ends at a passed final audit; without (the flat scheme) it ends at its
+// last commit.  The budget of `max_rounds` is checked before every chunk
+// attempt and, with `audits`, before every final audit: the flat scheme's
+// last commit may overrun it without exhausting the run.  Faults are
+// injected at the round boundary.
 [[nodiscard]] SimulationResult RunChunkLoop(const Protocol& protocol,
                                             const Channel& channel,
                                             const FaultPlan& faults, Rng& rng,

@@ -1,17 +1,29 @@
 #include "coding/simulator.h"
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
+#include <span>
+
 #include "util/require.h"
 
 namespace noisybeeps {
 
 namespace {
 
-// Deterministic tie-break for the plurality transcript: true when a is
-// lexicographically less than b (shorter prefix wins on a tie).
+// True when a is lexicographically less than b, bit 0 first; a proper
+// prefix sorts first.  The first differing bit is the lowest set bit of the
+// XOR of the first differing word, masked to the common length.
 bool BitsLess(const BitString& a, const BitString& b) {
-  const std::size_t common = a.size() < b.size() ? a.size() : b.size();
-  for (std::size_t i = 0; i < common; ++i) {
-    if (a[i] != b[i]) return !a[i];
+  const std::size_t common = std::min(a.size(), b.size());
+  const std::span<const std::uint64_t> aw = a.words();
+  const std::span<const std::uint64_t> bw = b.words();
+  const std::size_t words =
+      (common + BitString::kWordBits - 1) / BitString::kWordBits;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t diff = aw[w] ^ bw[w];
+    if (w + 1 == words) diff &= BitString::TailMask(common);
+    if (diff != 0) return ((bw[w] >> std::countr_zero(diff)) & 1u) != 0;
   }
   return a.size() < b.size();
 }
@@ -38,23 +50,27 @@ SimulationVerdict ComputeVerdict(const std::vector<BitString>& transcripts,
   SimulationVerdict verdict;
   verdict.budget_exhausted = budget_exhausted;
   verdict.agreement.assign(n, 0);
-  // O(n^2) transcript comparisons; n is the party count (tens to a few
-  // hundred) and comparisons are word-wise, so this is cheap next to the
-  // simulation itself.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (transcripts[i] == transcripts[j]) ++verdict.agreement[i];
+  // Sorted by transcript, the parties that agree form runs: O(n log n)
+  // word-wise compares.  The first largest run holds the lexicographically
+  // least of the plurality transcripts, which is the tie-break.
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&transcripts](int a, int b) {
+    return BitsLess(transcripts[a], transcripts[b]);
+  });
+  int best = order[0];
+  for (int begin = 0; begin < n;) {
+    const BitString& group = transcripts[order[begin]];
+    int end = begin + 1;
+    while (end < n && transcripts[order[end]] == group) ++end;
+    const int size = end - begin;
+    for (int k = begin; k < end; ++k) verdict.agreement[order[k]] = size;
+    if (size > verdict.majority_size) {
+      verdict.majority_size = size;
+      best = order[begin];
     }
+    begin = end;
   }
-  int best = 0;
-  for (int i = 0; i < n; ++i) {
-    const bool bigger = verdict.agreement[i] > verdict.agreement[best];
-    const bool tie_less =
-        verdict.agreement[i] == verdict.agreement[best] &&
-        BitsLess(transcripts[i], transcripts[best]);
-    if (bigger || tie_less) best = i;
-  }
-  verdict.majority_size = verdict.agreement[best];
   verdict.majority_transcript = transcripts[best];
 
   if (!budget_exhausted && verdict.majority_size == n &&

@@ -7,6 +7,44 @@
 
 namespace noisybeeps {
 
+std::size_t FirstViolationFromBeeps(int party_index, const BitString& beeped,
+                                   const BitString& transcript,
+                                   std::span<const int> owners,
+                                   NoiseRegime regime) {
+  NB_REQUIRE(beeped.size() == transcript.size(),
+             "one recorded beep per transcript round");
+  const bool two_sided = regime == NoiseRegime::kTwoSided;
+  if (two_sided) {
+    NB_REQUIRE(owners.size() == transcript.size(),
+               "two-sided verification needs an owner per round");
+  }
+  const std::span<const std::uint64_t> beeped_words = beeped.words();
+  const std::span<const std::uint64_t> transcript_words = transcript.words();
+  for (std::size_t w = 0; w < transcript_words.size(); ++w) {
+    // A 0 claims nobody beeped; this party knows better where it beeped 1.
+    std::uint64_t bad = beeped_words[w] & ~transcript_words[w];
+    if (two_sided) {
+      // A 1 is bad if unowned (anyone may flag), or owned by this party
+      // although it did not beep.  Slack bits are zero in both strings.
+      for (std::uint64_t ones = transcript_words[w]; ones != 0;
+           ones &= ones - 1) {
+        const int bit = std::countr_zero(ones);
+        const int owner =
+            owners[w * BitString::kWordBits + static_cast<std::size_t>(bit)];
+        const bool mine_unbeeped =
+            owner == party_index && ((beeped_words[w] >> bit) & 1u) == 0;
+        if (owner < 0 || mine_unbeeped) bad |= std::uint64_t{1} << bit;
+      }
+    }
+    // In kDownOnly a received 1 is self-certifying: nothing to check.
+    if (bad != 0) {
+      return w * BitString::kWordBits +
+             static_cast<std::size_t>(std::countr_zero(bad));
+    }
+  }
+  return transcript.size();
+}
+
 std::size_t FirstViolation(const Protocol& protocol, int party_index,
                            const BitString& transcript,
                            const std::vector<int>& owners,

@@ -43,14 +43,32 @@ enum class FlagRule {
               // one-sided-down noise, where a received 1 is never spurious)
 };
 
-// The first round index m in [from, transcript.size()) at which party
-// `party_index` detects an inconsistency per the rules above, or
-// transcript.size() if it detects none.  Rounds before `from` are replayed
-// (they set the context for f_m^i) but not checked -- a flat rewind scheme
-// cannot revisit rounds it already committed.  `owners[m]` is the party's
+// The first round index m at which party `party_index` detects an
+// inconsistency per the rules above, or transcript.size() if it detects
+// none, from the bits the party recorded beeping: beeped[m] is what it
+// beeped in round m given transcript[0, m).  `owners[m]` is the party's
 // owner record for round m (-1 = none); required (same size as transcript)
-// in regime kTwoSided, ignored in kDownOnly.  Replays the party's pure
-// beep function along the transcript, so cost is one pass.
+// in regime kTwoSided, ignored in kDownOnly.  Under kDownOnly the answer
+// is the first set bit of beeped & ~transcript; kTwoSided also flags every
+// 1 that is unowned or owned by this party without its beep.  Word
+// operations only: the beep function is never called.
+// Precondition: beeped.size() == transcript.size().
+//
+// The simulators record `beeped` while they simulate a chunk, on exactly
+// the prefix FirstViolation below would replay, so party purity makes the
+// two agree round for round.
+[[nodiscard]] std::size_t FirstViolationFromBeeps(int party_index,
+                                                  const BitString& beeped,
+                                                  const BitString& transcript,
+                                                  std::span<const int> owners,
+                                                  NoiseRegime regime);
+
+// The replay reference for FirstViolationFromBeeps: the same rule, with
+// each beep recomputed by the party's pure beep function along the
+// transcript.  Only rounds m in [from, transcript.size()) are checked;
+// rounds before `from` are replayed (they set the context for f_m^i) but
+// not checked.  No simulator calls it: the differential tests check the
+// recorded-beep rule against it.
 [[nodiscard]] std::size_t FirstViolation(const Protocol& protocol,
                                          int party_index,
                                          const BitString& transcript,
@@ -76,7 +94,8 @@ enum class FlagRule {
 
 // Binary search for the longest verified prefix (the progress check of
 // Section D.2).  first_violation[i] is party i's local first-bad-round
-// index (from FirstViolation) over a transcript of length `total_len`.
+// index (from FirstViolationFromBeeps) over a transcript of length
+// `total_len`.
 // Runs ceil(log2(total_len + 1)) flag exchanges of `reps` rounds each; all
 // parties follow the same probe schedule, so under a correlated channel
 // they return identical results.  Returns each party's view of the

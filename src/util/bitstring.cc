@@ -46,9 +46,27 @@ void BitString::PushBack(bool bit) {
 }
 
 void BitString::Append(const BitString& other) {
-  // Bit-by-bit is fine: appends in this library are O(protocol length) and
-  // never on a hot path compared to channel simulation.
-  for (std::size_t i = 0; i < other.size_; ++i) PushBack(other[i]);
+  if (this == &other) {
+    // The word loop below would read words it has already written.
+    const BitString copy = other;
+    Append(copy);
+    return;
+  }
+  // Word k of `other` lands at bit `shift` of word `dest + k` and spills its
+  // top `shift` bits into the next word.  The slack of the old last word is
+  // zero and resize zero-fills, so OR-ing in place is exact; the spill past
+  // the new last word is zero by `other`'s tail-bit invariant.
+  const std::size_t shift = size_ % kWordBits;
+  std::size_t dest = size_ / kWordBits;
+  size_ += other.size_;
+  words_.resize(WordCount(size_), 0);
+  for (const std::uint64_t word : other.words_) {
+    words_[dest] |= word << shift;
+    ++dest;
+    if (shift != 0 && dest < words_.size()) {
+      words_[dest] |= word >> (kWordBits - shift);
+    }
+  }
 }
 
 void BitString::Truncate(std::size_t new_size) {

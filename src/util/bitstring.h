@@ -49,10 +49,11 @@ class BitString {
   // Appends one bit at the end.
   void PushBack(bool bit);
 
-  // Appends all of `other` at the end.
+  // Appends all of `other` at the end, a word at a time (shift and OR).
+  // `a.Append(a)` doubles `a`.
   void Append(const BitString& other);
 
-  // Removes the last `count` bits.  Precondition: count <= size().
+  // Keeps the first `new_size` bits.  Precondition: new_size <= size().
   void Truncate(std::size_t new_size);
 
   // The first `count` bits as a new BitString.  Precondition: count <= size().

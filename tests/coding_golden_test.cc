@@ -139,6 +139,111 @@ const Cell kCells[] = {
 };
 // clang-format on
 
+// Adaptive cells.  In input_set and bit_exchange a party's beep depends
+// only on the round number, never on the bits of its prefix, so the
+// matrix above cannot see a party handed the wrong prefix of the right
+// length.  `random` (adaptive) hashes its whole prefix and `leader` drops
+// parties on transcript content, so here a beep recomputed from, or
+// recorded against, a wrong prefix changes the digest.  The n = 256 cells
+// run `random`'s 1024-round protocol, whose beep function hashes prefixes
+// up to 1024 bits long.
+// clang-format off
+const Cell kAdaptiveCells[] = {
+    {"random_repetition_correlated_n8",           "repetition",        "random", "correlated",  8,   false, 0x75b5fc3abc4f4ca6},
+    {"random_repetition_correlated_n8_faults",    "repetition",        "random", "correlated",  8,   true,  0x50c901b0df52f40},
+    {"random_repetition_correlated_n65",          "repetition",        "random", "correlated",  65,  false, 0x10efce00edcd9eb0},
+    {"random_repetition_correlated_n65_faults",   "repetition",        "random", "correlated",  65,  true,  0xdc67e9238acb53df},
+    {"random_repetition_independent_n8",          "repetition",        "random", "independent", 8,   false, 0xd25e20b1861684e},
+    {"random_repetition_independent_n8_faults",   "repetition",        "random", "independent", 8,   true,  0xdefeed8ff67d7ab4},
+    {"random_repetition_independent_n65",         "repetition",        "random", "independent", 65,  false, 0x3b0321a1365e82fc},
+    {"random_repetition_independent_n65_faults",  "repetition",        "random", "independent", 65,  true,  0xabff6442721c359b},
+    {"random_repetition_up_n8",                   "repetition",        "random", "up",          8,   false, 0x1dbef342d4561b79},
+    {"random_repetition_up_n8_faults",            "repetition",        "random", "up",          8,   true,  0x90be666e50e8e270},
+    {"random_repetition_up_n65",                  "repetition",        "random", "up",          65,  false, 0xfcab230b83c8a164},
+    {"random_repetition_up_n65_faults",           "repetition",        "random", "up",          65,  true,  0x977316e18d1469ab},
+    {"random_rewind_correlated_n8",               "rewind",            "random", "correlated",  8,   false, 0x76431a0677a906bf},
+    {"random_rewind_correlated_n8_faults",        "rewind",            "random", "correlated",  8,   true,  0x4940491a7666b4fd},
+    {"random_rewind_correlated_n65",              "rewind",            "random", "correlated",  65,  false, 0xc5606906b35aa0d8},
+    {"random_rewind_correlated_n65_faults",       "rewind",            "random", "correlated",  65,  true,  0x51381e28b1e985f4},
+    {"random_rewind_independent_n8",              "rewind",            "random", "independent", 8,   false, 0xac869afa35e92441},
+    {"random_rewind_independent_n8_faults",       "rewind",            "random", "independent", 8,   true,  0xb4213080b6b1ac31},
+    {"random_rewind_independent_n65",             "rewind",            "random", "independent", 65,  false, 0xebfcb33e1716c1ba},
+    {"random_rewind_independent_n65_faults",      "rewind",            "random", "independent", 65,  true,  0xcaeb8abc1045098},
+    {"random_rewind_up_n8",                       "rewind",            "random", "up",          8,   false, 0xfbe5c62314ab024c},
+    {"random_rewind_up_n8_faults",                "rewind",            "random", "up",          8,   true,  0x3851bc3959f9ec87},
+    {"random_rewind_up_n65",                      "rewind",            "random", "up",          65,  false, 0xcf2c8cb1e6a60ca6},
+    {"random_rewind_up_n65_faults",               "rewind",            "random", "up",          65,  true,  0x1624ea1f3dcd11c1},
+    {"random_hierarchical_correlated_n8",         "hierarchical",      "random", "correlated",  8,   false, 0x5e8d7a83c4a09653},
+    {"random_hierarchical_correlated_n8_faults",  "hierarchical",      "random", "correlated",  8,   true,  0x2d8215d54444f4ce},
+    {"random_hierarchical_correlated_n65",        "hierarchical",      "random", "correlated",  65,  false, 0x8602d179c0893a93},
+    {"random_hierarchical_correlated_n65_faults", "hierarchical",      "random", "correlated",  65,  true,  0x694de613e04a2a41},
+    {"random_hierarchical_independent_n8",        "hierarchical",      "random", "independent", 8,   false, 0x524ea5725ed60b8},
+    {"random_hierarchical_independent_n8_faults", "hierarchical",      "random", "independent", 8,   true,  0x1050edc3b78628ac},
+    {"random_hierarchical_independent_n65",       "hierarchical",      "random", "independent", 65,  false, 0x24d07c85e3c0a7f},
+    {"random_hierarchical_independent_n65_faults", "hierarchical",      "random", "independent", 65,  true,  0x7ace4debbdbf733c},
+    {"random_hierarchical_up_n8",                 "hierarchical",      "random", "up",          8,   false, 0xb5e83511a02e4e7},
+    {"random_hierarchical_up_n8_faults",          "hierarchical",      "random", "up",          8,   true,  0x65cdfd38c5eb028d},
+    {"random_hierarchical_up_n65",                "hierarchical",      "random", "up",          65,  false, 0x242db8978379e3c6},
+    {"random_hierarchical_up_n65_faults",         "hierarchical",      "random", "up",          65,  true,  0x872ec88ce727b99e},
+    {"random_rewind_down_down_n8",                "rewind_down",       "random", "down",        8,   false, 0xc4df697b17cea39c},
+    {"random_rewind_down_down_n8_faults",         "rewind_down",       "random", "down",        8,   true,  0x7628b12792783c4c},
+    {"random_rewind_down_down_n65",               "rewind_down",       "random", "down",        65,  false, 0x79bf647adcbc0ad5},
+    {"random_rewind_down_down_n65_faults",        "rewind_down",       "random", "down",        65,  true,  0x88c7e0bae47824fa},
+    {"random_hierarchical_down_down_n8",          "hierarchical_down", "random", "down",        8,   false, 0xdb87b1fca4f15e7a},
+    {"random_hierarchical_down_down_n8_faults",   "hierarchical_down", "random", "down",        8,   true,  0xf07ce07fe0f90bf},
+    {"random_hierarchical_down_down_n65",         "hierarchical_down", "random", "down",        65,  false, 0x671030f514341450},
+    {"random_hierarchical_down_down_n65_faults",  "hierarchical_down", "random", "down",        65,  true,  0x8d2b7fb8ca9fbee6},
+    {"leader_repetition_correlated_n8",           "repetition",        "leader", "correlated",  8,   false, 0xf528a33d6764dcda},
+    {"leader_repetition_correlated_n8_faults",    "repetition",        "leader", "correlated",  8,   true,  0xf528a33d6764dcda},
+    {"leader_repetition_correlated_n65",          "repetition",        "leader", "correlated",  65,  false, 0xc661d3c762e97b82},
+    {"leader_repetition_correlated_n65_faults",   "repetition",        "leader", "correlated",  65,  true,  0x74cf1b5e36403658},
+    {"leader_repetition_independent_n8",          "repetition",        "leader", "independent", 8,   false, 0xa478bb4490b70942},
+    {"leader_repetition_independent_n8_faults",   "repetition",        "leader", "independent", 8,   true,  0xa478bb4490b70942},
+    {"leader_repetition_independent_n65",         "repetition",        "leader", "independent", 65,  false, 0x80e9329a6499ba01},
+    {"leader_repetition_independent_n65_faults",  "repetition",        "leader", "independent", 65,  true,  0x207370b2e32d0acb},
+    {"leader_repetition_up_n8",                   "repetition",        "leader", "up",          8,   false, 0xfe0478b36ff2cbc9},
+    {"leader_repetition_up_n8_faults",            "repetition",        "leader", "up",          8,   true,  0x9ded62615d8f40ab},
+    {"leader_repetition_up_n65",                  "repetition",        "leader", "up",          65,  false, 0x924c434614000770},
+    {"leader_repetition_up_n65_faults",           "repetition",        "leader", "up",          65,  true,  0xa6b5d664cda911f5},
+    {"leader_rewind_correlated_n8",               "rewind",            "leader", "correlated",  8,   false, 0x66eaef7d922d059b},
+    {"leader_rewind_correlated_n8_faults",        "rewind",            "leader", "correlated",  8,   true,  0x5cf85360ac94613e},
+    {"leader_rewind_correlated_n65",              "rewind",            "leader", "correlated",  65,  false, 0xa105c9ee3235d460},
+    {"leader_rewind_correlated_n65_faults",       "rewind",            "leader", "correlated",  65,  true,  0xe4ce1c0b8cfe1740},
+    {"leader_rewind_independent_n8",              "rewind",            "leader", "independent", 8,   false, 0x961967f9d7cf2d10},
+    {"leader_rewind_independent_n8_faults",       "rewind",            "leader", "independent", 8,   true,  0x180d7bae7e719605},
+    {"leader_rewind_independent_n65",             "rewind",            "leader", "independent", 65,  false, 0x8bd10681d4742e3d},
+    {"leader_rewind_independent_n65_faults",      "rewind",            "leader", "independent", 65,  true,  0x87aa2dce60ea3370},
+    {"leader_rewind_up_n8",                       "rewind",            "leader", "up",          8,   false, 0xe0f03b970c498df8},
+    {"leader_rewind_up_n8_faults",                "rewind",            "leader", "up",          8,   true,  0xab6dc7610077013d},
+    {"leader_rewind_up_n65",                      "rewind",            "leader", "up",          65,  false, 0x802adb4704b15755},
+    {"leader_rewind_up_n65_faults",               "rewind",            "leader", "up",          65,  true,  0x62e0783216a2c466},
+    {"leader_hierarchical_correlated_n8",         "hierarchical",      "leader", "correlated",  8,   false, 0xa94d7f78df17f57f},
+    {"leader_hierarchical_correlated_n8_faults",  "hierarchical",      "leader", "correlated",  8,   true,  0xd2f51ecb011feeb},
+    {"leader_hierarchical_correlated_n65",        "hierarchical",      "leader", "correlated",  65,  false, 0x500439f9da438788},
+    {"leader_hierarchical_correlated_n65_faults", "hierarchical",      "leader", "correlated",  65,  true,  0x77552617753ff385},
+    {"leader_hierarchical_independent_n8",        "hierarchical",      "leader", "independent", 8,   false, 0x43c56b44a87de877},
+    {"leader_hierarchical_independent_n8_faults", "hierarchical",      "leader", "independent", 8,   true,  0x3f7eae25f511ed26},
+    {"leader_hierarchical_independent_n65",       "hierarchical",      "leader", "independent", 65,  false, 0x5a512e4d42ed0545},
+    {"leader_hierarchical_independent_n65_faults", "hierarchical",      "leader", "independent", 65,  true,  0x6130889b794b1037},
+    {"leader_hierarchical_up_n8",                 "hierarchical",      "leader", "up",          8,   false, 0x786dfaeb7448c7c0},
+    {"leader_hierarchical_up_n8_faults",          "hierarchical",      "leader", "up",          8,   true,  0x69609d52d68c0f9f},
+    {"leader_hierarchical_up_n65",                "hierarchical",      "leader", "up",          65,  false, 0x6bae4c7e98c8eb3c},
+    {"leader_hierarchical_up_n65_faults",         "hierarchical",      "leader", "up",          65,  true,  0x4be4bcc09d51093b},
+    {"leader_rewind_down_down_n8",                "rewind_down",       "leader", "down",        8,   false, 0x2609d966de7cec34},
+    {"leader_rewind_down_down_n8_faults",         "rewind_down",       "leader", "down",        8,   true,  0x2b530fd353723a19},
+    {"leader_rewind_down_down_n65",               "rewind_down",       "leader", "down",        65,  false, 0xefb5ff9aeab04e9c},
+    {"leader_rewind_down_down_n65_faults",        "rewind_down",       "leader", "down",        65,  true,  0x55088d2ff5dd462e},
+    {"leader_hierarchical_down_down_n8",          "hierarchical_down", "leader", "down",        8,   false, 0x4ce03d570a78249e},
+    {"leader_hierarchical_down_down_n8_faults",   "hierarchical_down", "leader", "down",        8,   true,  0x67059d394ed5067e},
+    {"leader_hierarchical_down_down_n65",         "hierarchical_down", "leader", "down",        65,  false, 0xe0ba7f51777bf266},
+    {"leader_hierarchical_down_down_n65_faults",  "hierarchical_down", "leader", "down",        65,  true,  0x7d46a17883efcb7b},
+    {"random_rewind_correlated_n256",             "rewind",            "random", "correlated",  256, false, 0xda62c1ed965e25bc},
+    {"random_hierarchical_correlated_n256",       "hierarchical",      "random", "correlated",  256, false, 0x6a051bef3ad3c7bb},
+    {"random_rewind_down_down_n256",              "rewind_down",       "random", "down",        256, false, 0xbffde5a87881e071},
+    {"random_hierarchical_down_down_n256",        "hierarchical_down", "random", "down",        256, false, 0x82315684175f463},
+};
+// clang-format on
+
 class CodingGolden : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(CodingGolden, DigestIsPinned) {
@@ -159,11 +264,14 @@ TEST_P(CodingGolden, DigestIsPinned) {
       << std::hex << "0x" << Digest(result, rng);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, CodingGolden, ::testing::ValuesIn(kCells),
-    [](const ::testing::TestParamInfo<Cell>& cell_info) {
-      return std::string(cell_info.param.name);
-    });
+std::string CellName(const ::testing::TestParamInfo<Cell>& cell_info) {
+  return cell_info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, CodingGolden, ::testing::ValuesIn(kCells),
+                         CellName);
+INSTANTIATE_TEST_SUITE_P(Adaptive, CodingGolden,
+                         ::testing::ValuesIn(kAdaptiveCells), CellName);
 
 // Budget edges.  Input set at n = 8 has T = 16 rounds in two 8-round
 // chunks of 580 noisy rounds each, so max_rounds = 870 lands inside the

@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "channel/correlated.h"
 #include "channel/independent.h"
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
+#include "coding/chunk_sim.h"
+#include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
+#include "tasks/leader_election.h"
+#include "tasks/random_protocol.h"
 #include "util/rng.h"
 
 namespace noisybeeps {
@@ -128,6 +135,198 @@ TEST(FirstViolation, RequiresOwnersInTwoSidedMode) {
   EXPECT_THROW((void)FirstViolation(*fx.protocol, 0, fx.reference,
                                     std::vector<int>(), NoiseRegime::kTwoSided),
                std::invalid_argument);
+}
+
+TEST(FirstViolationFromBeeps, RequiresOneBeepPerRoundAndOwnersWhenTwoSided) {
+  const BitString transcript = BitString::FromString("1010");
+  const std::vector<int> owners(4, 0);
+  EXPECT_THROW((void)FirstViolationFromBeeps(
+                   0, BitString::FromString("101"), transcript, owners,
+                   NoiseRegime::kDownOnly),
+               std::invalid_argument);
+  EXPECT_THROW((void)FirstViolationFromBeeps(0, transcript, transcript,
+                                             std::span<const int>(),
+                                             NoiseRegime::kTwoSided),
+               std::invalid_argument);
+  EXPECT_EQ(FirstViolationFromBeeps(0, transcript, transcript, owners,
+                                    NoiseRegime::kTwoSided),
+            transcript.size());
+}
+
+// --- the recorded-beep rule against the replay reference --------------
+
+constexpr int kParties = 8;
+constexpr int kSeeds = 20;
+const std::size_t kLengths[] = {1, 8, 63, 64, 65, 130};
+
+// An 8-party protocol of each kind, at least 130 rounds long where the task
+// allows it.  Leader election is as long as its id width, at most 63
+// rounds, and its beep function is defined only on shorter prefixes.
+std::unique_ptr<Protocol> MakeTask(const std::string& task, Rng& rng) {
+  if (task == "input_set") {
+    return MakeRepeatedInputSetProtocol(SampleInputSet(kParties, rng), 9);
+  }
+  if (task == "bit_exchange") {
+    return MakeBitExchangeProtocol(SampleBitExchange(kParties, 17, rng));
+  }
+  if (task == "random") {
+    return MakeRandomProtocol(
+        SampleRandomProtocol(kParties, 130, 0.3, /*adaptive=*/true, rng));
+  }
+  return MakeLeaderElectionProtocol(SampleLeaderElection(kParties, 63, rng));
+}
+
+// A transcript of `len` rounds, what each party beeps along it, and
+// per-party owner records.
+struct Sample {
+  BitString transcript;
+  std::vector<BitString> beeped;
+  std::vector<std::vector<int>> owners;
+};
+
+// Each round's bit is the OR of the parties' beeps on the sampled prefix,
+// flipped with probability 2^-flip_shift (never when flip_shift is 0), and
+// `beeped` holds those beeps, as a simulator records them.  Owner records
+// name the round's lowest-index beeper three times in four, and otherwise
+// -1, the party itself or another party.
+Sample MakeSample(const Protocol& protocol, std::size_t len, int flip_shift,
+                  Rng& rng) {
+  Sample sample;
+  sample.beeped.assign(kParties, BitString());
+  sample.owners.assign(kParties, std::vector<int>());
+  for (std::size_t m = 0; m < len; ++m) {
+    int beeper = -1;
+    for (int i = 0; i < kParties; ++i) {
+      const bool beep = protocol.party(i).ChooseBeep(sample.transcript);
+      sample.beeped[i].PushBack(beep);
+      if (beep && beeper < 0) beeper = i;
+    }
+    const bool flip =
+        flip_shift > 0 && rng.UniformInt(std::uint64_t{1} << flip_shift) == 0;
+    sample.transcript.PushBack((beeper >= 0) != flip);
+    for (int i = 0; i < kParties; ++i) {
+      int owner = beeper;
+      switch (rng.UniformInt(12)) {
+        case 0:
+          owner = -1;
+          break;
+        case 1:
+          owner = i;
+          break;
+        case 2:
+          owner = (i + 1 + static_cast<int>(rng.UniformInt(kParties - 1))) %
+                  kParties;
+          break;
+        default:
+          break;
+      }
+      sample.owners[i].push_back(owner);
+    }
+  }
+  return sample;
+}
+
+class RecordedBeepRule : public ::testing::TestWithParam<const char*> {};
+
+// Over whole transcripts the rule equals FirstViolation; over a chunk it
+// equals FirstViolation from the chunk's start on committed ++ candidate,
+// counted from that start -- what the chunk loop relies on when it
+// verifies an attempt alone.
+TEST_P(RecordedBeepRule, MatchesTheReplayReference) {
+  const std::string task = GetParam();
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 1);
+    const std::unique_ptr<Protocol> protocol = MakeTask(task, rng);
+    for (const std::size_t len : kLengths) {
+      if (len > static_cast<std::size_t>(protocol->length())) continue;
+      const Sample sample = MakeSample(*protocol, len, seed % 4 * 2, rng);
+      const BitString& t = sample.transcript;
+      for (const NoiseRegime regime :
+           {NoiseRegime::kTwoSided, NoiseRegime::kDownOnly}) {
+        for (int i = 0; i < kParties; ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << task << " seed " << seed << " len " << len
+                       << " party " << i << " two-sided "
+                       << (regime == NoiseRegime::kTwoSided));
+          const std::vector<int>& owners = sample.owners[i];
+          ASSERT_EQ(FirstViolationFromBeeps(i, sample.beeped[i], t, owners,
+                                            regime),
+                    FirstViolation(*protocol, i, t, owners, regime));
+          for (const std::size_t start :
+               {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                std::size_t{64}, len / 2, len - 1}) {
+            if (start >= len) continue;
+            const std::span<const int> chunk_owners =
+                regime == NoiseRegime::kDownOnly
+                    ? std::span<const int>()
+                    : std::span<const int>(owners).subspan(start);
+            ASSERT_EQ(
+                FirstViolationFromBeeps(
+                    i, sample.beeped[i].Substring(start, len),
+                    t.Substring(start, len), chunk_owners, regime),
+                FirstViolation(*protocol, i, t, owners, regime, start) -
+                    start)
+                << "start " << start;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tasks, RecordedBeepRule,
+    ::testing::Values("input_set", "bit_exchange", "random", "leader"),
+    [](const ::testing::TestParamInfo<const char*>& task_info) {
+      return std::string(task_info.param);
+    });
+
+// Purity, checked directly on the adaptive tasks: every beep a chunk
+// attempt records is the party's beep function on its committed prefix
+// extended by the candidate bits before that round.  The in-place variant
+// leaves exactly committed ++ candidate in the transcripts, and the
+// copying adapter returns the same attempt.
+TEST(RecordedBeeps, EqualTheBeepFunctionOnTheCandidatePrefix) {
+  const IndependentNoisyChannel channel(0.2);
+  for (const std::string task : {"random", "leader"}) {
+    for (int seed = 0; seed < kSeeds; ++seed) {
+      SCOPED_TRACE(::testing::Message() << task << " seed " << seed);
+      Rng rng(static_cast<std::uint64_t>(seed) + 101);
+      const std::unique_ptr<Protocol> protocol = MakeTask(task, rng);
+      const int start = seed % 2 == 0 ? 0 : 20;
+      const int chunk_len = protocol->length() - start;
+      const Sample sample =
+          MakeSample(*protocol, static_cast<std::size_t>(start), 3, rng);
+      std::vector<BitString> committed;
+      for (int i = 0; i < kParties; ++i) {
+        BitString prefix = sample.transcript;
+        if (start > 0 && i % 2 == 1) prefix.Set(0, !prefix[0]);
+        committed.push_back(prefix);
+      }
+      Rng copy_rng(static_cast<std::uint64_t>(seed));
+      Rng in_place_rng(static_cast<std::uint64_t>(seed));
+      RoundEngine copy_engine(channel, copy_rng, kParties);
+      RoundEngine in_place_engine(channel, in_place_rng, kParties);
+      const ChunkAttempt copied = SimulateChunk(
+          *protocol, committed, start, chunk_len, 1, nullptr, copy_engine);
+      std::vector<BitString> transcripts = committed;
+      const ChunkAttempt attempt =
+          SimulateChunkInPlace(*protocol, transcripts, start, chunk_len, 1,
+                               nullptr, in_place_engine);
+      ASSERT_EQ(attempt.candidate, copied.candidate);
+      ASSERT_EQ(attempt.beeped, copied.beeped);
+      for (int i = 0; i < kParties; ++i) {
+        BitString prefix = committed[i];
+        for (int m = 0; m < chunk_len; ++m) {
+          ASSERT_EQ(attempt.beeped[i][m],
+                    protocol->party(i).ChooseBeep(prefix))
+              << "party " << i << " round " << m;
+          prefix.PushBack(attempt.candidate[i][m]);
+        }
+        EXPECT_EQ(transcripts[i], prefix) << "party " << i;
+      }
+    }
+  }
 }
 
 TEST(CommunicateFlags, NoiselessOrSemantics) {

@@ -1,0 +1,157 @@
+// Work counts of the chunk loop: how often the rewind-if-error simulators
+// call a party's beep function.  Chunk simulation calls it once per party
+// per simulated round, and each simulated round costs rep_factor noisy
+// rounds of the "chunk-sim" phase.  Verification and audits read the beeps
+// recorded during chunk simulation, so they add no calls: the count is
+// exactly n * phase_rounds["chunk-sim"] / rep_factor.  A scheme that
+// replays the beep function to verify a chunk or audit the committed
+// transcript calls it about twice as often.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "coding/hierarchical_sim.h"
+#include "coding/rewind_sim.h"
+#include "fault/fault_plan.h"
+#include "service/workload.h"
+#include "util/rng.h"
+
+namespace noisybeeps {
+namespace {
+
+// Forwards to a party and counts its ChooseBeep calls.
+class CountingParty final : public Party {
+ public:
+  CountingParty(const Party& inner, std::int64_t& calls)
+      : inner_(inner), calls_(calls) {}
+
+  [[nodiscard]] bool ChooseBeep(const BitString& prefix) const override {
+    ++calls_;
+    return inner_.ChooseBeep(prefix);
+  }
+  [[nodiscard]] PartyOutput ComputeOutput(const BitString& pi) const override {
+    return inner_.ComputeOutput(pi);
+  }
+
+ private:
+  const Party& inner_;
+  std::int64_t& calls_;
+};
+
+// Wraps every party of a protocol in a CountingParty sharing one counter.
+class CountingProtocol final : public Protocol {
+ public:
+  explicit CountingProtocol(const Protocol& inner) : inner_(inner) {
+    parties_.reserve(static_cast<std::size_t>(inner.num_parties()));
+    for (int i = 0; i < inner.num_parties(); ++i) {
+      parties_.emplace_back(inner.party(i), calls_);
+    }
+  }
+
+  [[nodiscard]] int num_parties() const override {
+    return inner_.num_parties();
+  }
+  [[nodiscard]] int length() const override { return inner_.length(); }
+  [[nodiscard]] const Party& party(int i) const override {
+    return parties_[static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] std::int64_t calls() const { return calls_; }
+
+ private:
+  const Protocol& inner_;
+  std::int64_t calls_ = 0;
+  std::vector<CountingParty> parties_;
+};
+
+struct Case {
+  std::string name;
+  RewindSimOptions base;
+  bool hierarchical;
+  const char* channel;
+  const char* task;
+  int n;
+  bool faults;
+};
+
+std::ostream& operator<<(std::ostream& os, const Case& c) {
+  return os << c.name;
+}
+
+std::vector<Case> Cases() {
+  struct Scheme {
+    const char* name;
+    RewindSimOptions base;
+    bool hierarchical;
+    const char* channel;
+  };
+  const Scheme schemes[] = {
+      {"rewind", RewindSimOptions::TwoSided(), false, "correlated"},
+      {"rewind_down", RewindSimOptions::DownOnly(), false, "down"},
+      {"hierarchical", RewindSimOptions::TwoSided(), true, "correlated"},
+      {"hierarchical_down", RewindSimOptions::DownOnly(), true, "down"},
+  };
+  struct Task {
+    const char* name;
+    int n;
+  };
+  const Task tasks[] = {{"input_set", 65}, {"random", 8}};
+  std::vector<Case> cases;
+  for (const Scheme& scheme : schemes) {
+    for (const Task& task : tasks) {
+      for (const bool faults : {false, true}) {
+        cases.push_back(Case{std::string(scheme.name) + "_" + task.name +
+                                 "_n" + std::to_string(task.n) +
+                                 (faults ? "_faults" : ""),
+                             scheme.base, scheme.hierarchical, scheme.channel,
+                             task.name, task.n, faults});
+      }
+    }
+  }
+  return cases;
+}
+
+class ChooseBeepCount : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ChooseBeepCount, OnlyChunkSimulationCallsTheBeepFunction) {
+  const Case& c = GetParam();
+  Rng rng(7);
+  const service::Workload workload = service::MakeWorkload(c.task, c.n, rng);
+  const CountingProtocol protocol(*workload.protocol);
+  const std::string channel_name = c.channel;
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel(channel_name, channel_name == "down" ? 0.1 : 0.05);
+  const FaultPlan faults =
+      c.faults ? FaultPlan::Parse("sleepy:2@200-600;babble:5@0-3000:0.3", 11)
+               : FaultPlan();
+  std::unique_ptr<Simulator> sim;
+  if (c.hierarchical) {
+    sim = std::make_unique<HierarchicalSimulator>(
+        HierarchicalSimOptions{.base = c.base});
+  } else {
+    sim = std::make_unique<RewindSimulator>(c.base);
+  }
+  const SimulationResult result =
+      sim->Simulate(protocol, *channel, faults, rng);
+
+  const std::int64_t rep_factor =
+      RewindSimulator(c.base).EffectiveRepFactor(c.n);
+  const std::int64_t chunk_rounds = result.phase_rounds.at("chunk-sim");
+  ASSERT_EQ(chunk_rounds % rep_factor, 0);
+  ASSERT_GT(result.phase_rounds.at("verify-flags"), 0);
+  if (c.hierarchical) {
+    ASSERT_GT(result.phase_rounds.at("audit"), 0);
+  }
+  EXPECT_EQ(protocol.calls(), c.n * chunk_rounds / rep_factor);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ChooseBeepCount, ::testing::ValuesIn(Cases()),
+    [](const ::testing::TestParamInfo<Case>& case_info) {
+      return case_info.param.name;
+    });
+
+}  // namespace
+}  // namespace noisybeeps

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -333,6 +334,134 @@ TEST(ComputeVerdict, BudgetExhaustionDemotesOkToDegraded) {
   // A short transcript is never kOk even without the flag.
   EXPECT_EQ(ComputeVerdict({t, t}, 4, false).status,
             SimulationStatus::kDegraded);
+}
+
+// The all-pairs verdict ComputeVerdict used before it grouped transcripts
+// by sorting, kept as the reference: agreement by n^2 equality tests, and
+// the plurality tie broken by a bit-at-a-time lexicographic compare.
+SimulationVerdict ReferenceVerdict(const std::vector<BitString>& transcripts,
+                                   int full_length, bool budget_exhausted) {
+  const auto bits_less = [](const BitString& a, const BitString& b) {
+    const std::size_t common = a.size() < b.size() ? a.size() : b.size();
+    for (std::size_t i = 0; i < common; ++i) {
+      if (a[i] != b[i]) return !a[i];
+    }
+    return a.size() < b.size();
+  };
+  const int n = static_cast<int>(transcripts.size());
+  SimulationVerdict verdict;
+  verdict.budget_exhausted = budget_exhausted;
+  verdict.agreement.assign(n, 0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (transcripts[i] == transcripts[j]) ++verdict.agreement[i];
+    }
+  }
+  int best = 0;
+  for (int i = 0; i < n; ++i) {
+    const bool bigger = verdict.agreement[i] > verdict.agreement[best];
+    const bool tie_less = verdict.agreement[i] == verdict.agreement[best] &&
+                          bits_less(transcripts[i], transcripts[best]);
+    if (bigger || tie_less) best = i;
+  }
+  verdict.majority_size = verdict.agreement[best];
+  verdict.majority_transcript = transcripts[best];
+  if (!budget_exhausted && verdict.majority_size == n &&
+      static_cast<int>(verdict.majority_transcript.size()) == full_length) {
+    verdict.status = SimulationStatus::kOk;
+  } else if (2 * verdict.majority_size > n) {
+    verdict.status = SimulationStatus::kDegraded;
+  } else {
+    verdict.status = SimulationStatus::kFailed;
+  }
+  return verdict;
+}
+
+void ExpectReferenceVerdict(const std::vector<BitString>& transcripts,
+                            int full_length, bool budget_exhausted) {
+  const SimulationVerdict expected =
+      ReferenceVerdict(transcripts, full_length, budget_exhausted);
+  const SimulationVerdict actual =
+      ComputeVerdict(transcripts, full_length, budget_exhausted);
+  EXPECT_EQ(actual.status, expected.status);
+  EXPECT_EQ(actual.budget_exhausted, expected.budget_exhausted);
+  EXPECT_EQ(actual.agreement, expected.agreement);
+  EXPECT_EQ(actual.majority_size, expected.majority_size);
+  EXPECT_EQ(actual.majority_transcript, expected.majority_transcript);
+  EXPECT_EQ(actual.first_divergent_phase, expected.first_divergent_phase);
+  EXPECT_EQ(actual.first_divergence_round, expected.first_divergence_round);
+}
+
+BitString RandomBits(std::size_t len, Rng& rng) {
+  BitString bits;
+  for (std::size_t i = 0; i < len; ++i) bits.PushBack(rng.Bit());
+  return bits;
+}
+
+TEST(ComputeVerdict, MatchesTheAllPairsReference) {
+  const int kParties[] = {1, 2, 3, 65, 130};
+  const std::size_t kLengths[] = {0, 63, 64, 65, 130};
+  for (const int n : kParties) {
+    for (const std::size_t len : kLengths) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " len " << len);
+      const int full = static_cast<int>(len);
+      Rng rng(static_cast<std::uint64_t>(n) * 1000 + len);
+      const BitString a = RandomBits(len, rng);
+      // All equal.
+      ExpectReferenceVerdict(std::vector<BitString>(n, a), full, false);
+      ExpectReferenceVerdict(std::vector<BitString>(n, a), full, true);
+      // Two groups of equal size (plus one more when n is odd) that differ
+      // only in their last bit: the tie goes to the one with a 0 there.
+      if (len > 0) {
+        BitString b = a;
+        b.Set(len - 1, !a[len - 1]);
+        std::vector<BitString> halves;
+        for (int i = 0; i < n; ++i) halves.push_back(i % 2 == 0 ? b : a);
+        ExpectReferenceVerdict(halves, full, false);
+        // A proper prefix of the others, and the empty transcript.
+        std::vector<BitString> prefixes(n, a);
+        prefixes[0] = a.Prefix(len - 1);
+        if (n > 2) prefixes[n - 1] = BitString();
+        ExpectReferenceVerdict(prefixes, full, false);
+      }
+    }
+  }
+}
+
+TEST(ComputeVerdict, MatchesTheAllPairsReferenceOnRandomFamilies) {
+  const int kParties[] = {1, 2, 3, 65, 130};
+  const std::size_t kLengths[] = {0, 63, 64, 65, 130};
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) + 500);
+    for (const int n : kParties) {
+      for (const std::size_t len : kLengths) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " n " << n << " len " << len);
+        // A few base transcripts, each with variants one bit flip or a few
+        // bits of truncation away; every party holds one of them.
+        std::vector<BitString> family{RandomBits(len, rng)};
+        const std::size_t variants = 1 + rng.UniformInt(5);
+        for (std::size_t v = 0; v < variants; ++v) {
+          BitString variant = family[rng.UniformInt(family.size())];
+          if (variant.size() > 0 && rng.Bit()) {
+            const std::size_t pos = rng.UniformInt(variant.size());
+            variant.Set(pos, !variant[pos]);
+          } else if (variant.size() > 0) {
+            variant.Truncate(variant.size() - 1 -
+                             rng.UniformInt(std::min<std::size_t>(
+                                 variant.size(), 3)));
+          }
+          family.push_back(variant);
+        }
+        std::vector<BitString> transcripts;
+        for (int i = 0; i < n; ++i) {
+          transcripts.push_back(family[rng.UniformInt(family.size())]);
+        }
+        ExpectReferenceVerdict(transcripts, static_cast<int>(len),
+                               seed % 3 == 0);
+      }
+    }
+  }
 }
 
 TEST(ComputeVerdict, StatusNamesAreStable) {

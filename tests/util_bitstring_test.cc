@@ -153,6 +153,21 @@ TEST(BitString, EqualityIgnoresConstructionHistory) {
 
 TEST(BitStringProperty, AppendThenPrefixRecoversOriginal) {
   Rng rng(7);
+  const auto random_bits = [&rng](std::size_t len) {
+    BitString s;
+    for (std::size_t i = 0; i < len; ++i) s.PushBack(rng.Bit());
+    return s;
+  };
+  const auto expect_joined = [](const BitString& joined, const BitString& a,
+                                const BitString& b) {
+    ASSERT_EQ(joined.size(), a.size() + b.size());
+    EXPECT_EQ(joined.Prefix(a.size()), a);
+    EXPECT_EQ(joined.Substring(a.size(), joined.size()), b);
+    if (joined.word_count() > 0) {
+      EXPECT_EQ(joined.words().back() & ~BitString::TailMask(joined.size()),
+                0u);
+    }
+  };
   for (int trial = 0; trial < 50; ++trial) {
     BitString a;
     BitString b;
@@ -162,9 +177,22 @@ TEST(BitStringProperty, AppendThenPrefixRecoversOriginal) {
     for (int i = 0; i < lb; ++i) b.PushBack(rng.Bit());
     BitString joined = a;
     joined.Append(b);
-    ASSERT_EQ(joined.size(), a.size() + b.size());
-    EXPECT_EQ(joined.Prefix(a.size()), a);
-    EXPECT_EQ(joined.Substring(a.size(), joined.size()), b);
+    expect_joined(joined, a, b);
+  }
+  // Append shifts whole words, so the starting size's offset within a word
+  // (size % 64 of 0, 1 and 63) and self-append are the cases that matter.
+  const std::size_t kSizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 130};
+  for (const std::size_t la : kSizes) {
+    const BitString a = random_bits(la);
+    for (const std::size_t lb : kSizes) {
+      const BitString b = random_bits(lb);
+      BitString joined = a;
+      joined.Append(b);
+      expect_joined(joined, a, b);
+    }
+    BitString doubled = a;
+    doubled.Append(doubled);
+    expect_joined(doubled, a, a);
   }
 }
 
@@ -258,7 +286,7 @@ TEST(BitStringProperty, MutationsPreserveTheTailBitInvariant) {
   for (int trial = 0; trial < 40; ++trial) {
     BitString s;
     for (int step = 0; step < 60; ++step) {
-      switch (rng.UniformInt(6)) {
+      switch (rng.UniformInt(7)) {
         case 0:
           s.PushBack(rng.Bit());
           break;
@@ -282,6 +310,9 @@ TEST(BitStringProperty, MutationsPreserveTheTailBitInvariant) {
           if (s.word_count() > 0) {
             s.SetWord(rng.UniformInt(s.word_count()), rng.NextU64());
           }
+          break;
+        case 6:
+          if (s.size() < 150) s.Append(s);
           break;
       }
       // Invariant: slack bits of the last word are zero.
