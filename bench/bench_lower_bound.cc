@@ -81,7 +81,7 @@ void BM_MinimalRepetition(benchmark::State& state) {
   bench::SurfaceReport(state, search.report);
 }
 BENCHMARK(BM_MinimalRepetition)
-    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Control experiment: the SAME repetition sweep under one-sided-down

@@ -15,6 +15,20 @@ void FillSharedWords(std::span<std::uint64_t> words, std::int64_t n,
   words.back() &= TailWordMask(n);
 }
 
+std::optional<bool> SharedBit(std::span<const std::uint64_t> words,
+                              std::int64_t n) {
+  NB_REQUIRE(n >= 1 && words.size() == WordsForParties(n),
+             "word span does not match the party count");
+  const bool bit = (words.front() & 1u) != 0;
+  const std::uint64_t fill = bit ? ~std::uint64_t{0} : 0;
+  const std::size_t last = words.size() - 1;
+  for (std::size_t w = 0; w < last; ++w) {
+    if (words[w] != fill) return std::nullopt;
+  }
+  if (((words[last] ^ fill) & TailWordMask(n)) != 0) return std::nullopt;
+  return bit;
+}
+
 void PackBits(std::span<const std::uint8_t> bytes,
               std::span<std::uint64_t> words) {
   NB_REQUIRE(words.size() ==

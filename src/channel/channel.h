@@ -22,6 +22,7 @@
 #define NOISYBEEPS_CHANNEL_CHANNEL_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -78,6 +79,12 @@ inline void SetPackedBit(std::span<std::uint64_t> words, std::int64_t i,
 // all-zeros.  Precondition: words.size() == WordsForParties(n).
 void FillSharedWords(std::span<std::uint64_t> words, std::int64_t n,
                      bool bit);
+
+// The inverse of FillSharedWords: the bit all n listeners hold, or nullopt
+// when two of them differ.  Bits past n in the last word are ignored.
+// Precondition: words.size() == WordsForParties(n), n >= 1.
+[[nodiscard]] std::optional<bool> SharedBit(
+    std::span<const std::uint64_t> words, std::int64_t n);
 
 // Packs one byte per listener into words (tail bits zeroed) and back.
 // Preconditions: words.size() == WordsForParties(bytes.size()).

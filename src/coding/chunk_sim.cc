@@ -42,11 +42,12 @@ ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
       SetPackedBit(beeps, i, b);
       attempt.beeped[i].PushBack(b);
     }
-    const std::vector<std::uint8_t> decoded =
+    const std::vector<std::uint64_t> decoded =
         RepeatRound(engine, beeps, rep_factor, FlagRule::kMajority);
     for (int i = 0; i < n; ++i) {
-      attempt.candidate[i].PushBack(decoded[i] != 0);
-      transcripts[i].PushBack(decoded[i] != 0);
+      const bool bit = PackedBit(decoded, i);
+      attempt.candidate[i].PushBack(bit);
+      transcripts[i].PushBack(bit);
     }
   }
 

@@ -1,7 +1,11 @@
 #include "coding/repetition_sim.h"
 
-#include "coding/sim_common.h"
+#include <span>
+#include <vector>
+
+#include "coding/verification.h"
 #include "fault/injection.h"
+#include "protocol/executor.h"
 #include "util/math.h"
 #include "util/require.h"
 
@@ -28,37 +32,30 @@ SimulationResult RepetitionSimulator::Simulate(const Protocol& protocol,
   const int reps = EffectiveRepFactor(n);
   FaultyRoundEngine engine(channel, rng, n, faults);
   engine.SetPhase("repetition");
-  internal::DivergenceTracker tracker;
+
+  // Execute's loop, with each protocol round's beeps sent `reps` times
+  // and majority-decoded: every party fixes its beep for logical round m
+  // from its own reconstructed prefix (pure f_m^i).
+  std::vector<std::uint64_t> decoded;
+  ExecutionResult run =
+      Execute(protocol, [&](std::span<const std::uint64_t> beeps) {
+        decoded = RepeatRound(engine, beeps, reps, FlagRule::kMajority);
+        return std::span<const std::uint64_t>(decoded);
+      });
 
   SimulationResult result;
-  result.transcripts.assign(n, BitString());
-
-  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
-  for (int m = 0; m < protocol.length(); ++m) {
-    // Each party fixes its beep for logical round m from its own
-    // reconstructed prefix (pure f_m^i), then beeps it `reps` times.
-    for (int i = 0; i < n; ++i) {
-      SetPackedBit(beeps, i,
-                   protocol.party(i).ChooseBeep(result.transcripts[i]));
-    }
-    const std::vector<std::uint8_t> decoded =
-        RepeatRound(engine, beeps, reps, FlagRule::kMajority);
-    for (int i = 0; i < n; ++i) {
-      result.transcripts[i].PushBack(decoded[i] != 0);
-    }
-    tracker.Observe(decoded, "repetition", engine.rounds_used());
-  }
-
-  result.outputs.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    result.outputs.push_back(
-        protocol.party(i).ComputeOutput(result.transcripts[i]));
-  }
+  result.transcripts = std::move(run.transcripts);
+  result.outputs = std::move(run.outputs);
   result.noisy_rounds_used = engine.rounds_used();
   result.phase_rounds = engine.phase_rounds();
   result.verdict = ComputeVerdict(result.transcripts, protocol.length(),
                                   /*budget_exhausted=*/false);
-  tracker.Export(result.verdict);
+  if (run.first_divergent_round >= 0) {
+    // Observed once the divergent round's repetitions were decoded.
+    result.verdict.first_divergent_phase = "repetition";
+    result.verdict.first_divergence_round =
+        static_cast<std::int64_t>(run.first_divergent_round + 1) * reps;
+  }
   return result;
 }
 

@@ -213,13 +213,13 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
       flags[i] = violation < attempt.candidate[i].size() ? 1 : 0;
     }
     engine.SetPhase("verify-flags");
-    const std::vector<std::uint8_t> verdict =
+    const std::vector<std::uint64_t> verdict =
         CommunicateFlags(engine, flags, flag_reps, options.flag_rule);
-    tracker.Observe(verdict, "verify-flags", engine.rounds_used());
+    tracker.Observe(verdict, n, "verify-flags", engine.rounds_used());
 
     // Commit/rewind follows party 0's verdict (see sim_common.h on
     // control-flow synchronization).
-    if (verdict[0] != 0) {
+    if (PackedBit(verdict, 0)) {
       TruncateTo(state, static_cast<std::size_t>(start));
       continue;
     }

@@ -19,9 +19,11 @@
 #define NOISYBEEPS_CODING_SIM_COMMON_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "channel/channel.h"
 #include "coding/rewind_sim.h"
 #include "coding/simulator.h"
 #include "coding/verification.h"
@@ -46,12 +48,21 @@ class DivergenceTracker {
     if (diverged_) return;
     for (std::size_t i = 1; i < per_party.size(); ++i) {
       if (!(per_party[i] == per_party[0])) {
-        diverged_ = true;
-        first_phase_ = phase;
-        first_round_ = round;
+        Record(phase, round);
         return;
       }
     }
+  }
+
+  // Observes one bit per party, packed 64 per word (bit i of the words is
+  // party i's, as RepeatRound returns them), for `num_parties` parties.
+  // Parties are compared with each other, not words: the tail bits past
+  // num_parties are not read.
+  void Observe(std::span<const std::uint64_t> packed,
+               std::int64_t num_parties, const char* phase,
+               std::int64_t round) {
+    if (diverged_ || SharedBit(packed, num_parties).has_value()) return;
+    Record(phase, round);
   }
 
   [[nodiscard]] bool diverged() const { return diverged_; }
@@ -64,6 +75,12 @@ class DivergenceTracker {
   }
 
  private:
+  void Record(const char* phase, std::int64_t round) {
+    diverged_ = true;
+    first_phase_ = phase;
+    first_round_ = round;
+  }
+
   bool diverged_ = false;
   std::string first_phase_;
   std::int64_t first_round_ = -1;

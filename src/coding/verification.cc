@@ -1,6 +1,5 @@
 #include "coding/verification.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/require.h"
@@ -75,9 +74,9 @@ std::size_t FirstViolation(const Protocol& protocol, int party_index,
   return transcript.size();
 }
 
-std::vector<std::uint8_t> RepeatRound(RoundEngine& engine,
-                                      std::span<const std::uint64_t> beeps,
-                                      int reps, FlagRule rule) {
+std::vector<std::uint64_t> RepeatRound(RoundEngine& engine,
+                                       std::span<const std::uint64_t> beeps,
+                                       int reps, FlagRule rule) {
   NB_REQUIRE(reps >= 1, "repetitions must be positive");
   const std::int64_t n = engine.num_parties();
   const std::size_t words = WordsForParties(n);
@@ -104,7 +103,7 @@ std::vector<std::uint8_t> RepeatRound(RoundEngine& engine,
   // kAnyOne.  Compared 64 counts at a time, from the top plane down.
   const unsigned threshold =
       rule == FlagRule::kMajority ? static_cast<unsigned>(reps + 1) / 2 : 1;
-  std::vector<std::uint8_t> decoded(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint64_t> decoded(words, 0);
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t greater = 0;
     std::uint64_t equal = ~std::uint64_t{0};
@@ -115,20 +114,16 @@ std::vector<std::uint8_t> RepeatRound(RoundEngine& engine,
       greater |= equal & count_bit & ~threshold_bit;
       equal &= ~(count_bit ^ threshold_bit);
     }
-    const std::uint64_t ones = greater | equal;
-    const std::size_t base = w * kWordBits;
-    const std::size_t lanes =
-        std::min<std::size_t>(kWordBits, decoded.size() - base);
-    for (std::size_t b = 0; b < lanes; ++b) {
-      decoded[base + b] = static_cast<std::uint8_t>((ones >> b) & 1u);
-    }
+    // Tail lanes receive no 1s and every threshold is at least 1, so the
+    // tail bits decode to 0.
+    decoded[w] = greater | equal;
   }
   return decoded;
 }
 
-std::vector<std::uint8_t> CommunicateFlags(RoundEngine& engine,
-                                           const std::vector<std::uint8_t>& flags,
-                                           int reps, FlagRule rule) {
+std::vector<std::uint64_t> CommunicateFlags(
+    RoundEngine& engine, const std::vector<std::uint8_t>& flags, int reps,
+    FlagRule rule) {
   NB_REQUIRE(static_cast<std::int64_t>(flags.size()) == engine.num_parties(),
              "one flag per party");
   NB_REQUIRE(reps >= 1, "flag repetitions must be positive");
@@ -170,13 +165,13 @@ std::vector<std::size_t> BinarySearchVerifiedPrefix(
       // iff its first violation falls inside that prefix.
       flags[i] = first_violation[i] < probe ? 1 : 0;
     }
-    const std::vector<std::uint8_t> verdict =
+    const std::vector<std::uint64_t> verdict =
         CommunicateFlags(engine, flags, reps, rule);
     for (int i = 0; i < n; ++i) {
       if (bracket[i].hi <= bracket[i].lo) continue;
       const std::size_t probe =
           bracket[i].lo + (bracket[i].hi - bracket[i].lo + 1) / 2;
-      if (verdict[i]) {
+      if (PackedBit(verdict, i)) {
         bracket[i].hi = probe - 1;  // some party objects within `probe`
       } else {
         bracket[i].lo = probe;  // prefix of length `probe` looks clear

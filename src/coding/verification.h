@@ -78,17 +78,19 @@ enum class FlagRule {
 
 // Runs `reps` noisy rounds of the same packed beeps (as for
 // RoundEngine::RoundWords) and returns each party's decoded bit under
-// `rule`.  The repetition code of every repeated phase: chunk simulation,
-// the repetition simulator, and the flag exchanges below.
+// `rule`, packed the same way (tail bits zero; read party i's with
+// PackedBit).  The repetition code of every repeated phase: chunk
+// simulation, the repetition simulator, and the flag exchanges below.
 // Precondition: reps >= 1.
-[[nodiscard]] std::vector<std::uint8_t> RepeatRound(
+[[nodiscard]] std::vector<std::uint64_t> RepeatRound(
     RoundEngine& engine, std::span<const std::uint64_t> beeps, int reps,
     FlagRule rule);
 
 // One flag exchange: parties with flag != 0 beep in each of `reps` rounds;
-// returns each party's decoded verdict under `rule`.
+// returns each party's decoded verdict under `rule`, packed as RepeatRound
+// returns it.
 // Precondition: flags.size() == engine.num_parties(), reps >= 1.
-[[nodiscard]] std::vector<std::uint8_t> CommunicateFlags(
+[[nodiscard]] std::vector<std::uint64_t> CommunicateFlags(
     RoundEngine& engine, const std::vector<std::uint8_t>& flags, int reps,
     FlagRule rule);
 

@@ -1,10 +1,10 @@
 #include "ecc/codebook.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
+#include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -30,7 +30,7 @@ std::size_t Distance(const std::uint64_t* a, const std::uint64_t* b,
                      std::size_t stride) {
   std::size_t d = 0;
   for (std::size_t k = 0; k < stride; ++k) {
-    d += static_cast<std::size_t>(std::popcount(a[k] ^ b[k]));
+    d += static_cast<std::size_t>(WordPopCount(a[k] ^ b[k]));
   }
   return d;
 }

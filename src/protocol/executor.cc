@@ -1,31 +1,50 @@
 #include "protocol/executor.h"
 
+#include <optional>
+
 #include "util/require.h"
 
 namespace noisybeeps {
 
-ExecutionResult Execute(const Protocol& protocol, RoundEngine& engine) {
+ExecutionResult Execute(const Protocol& protocol,
+                        const RoundDelivery& deliver) {
   const int n = protocol.num_parties();
-  NB_REQUIRE(engine.num_parties() == n,
-             "round engine sized for a different party count");
-  ExecutionResult result;
-  result.transcripts.assign(n, BitString());
-  for (BitString& transcript : result.transcripts) {
-    transcript.Reserve(static_cast<std::size_t>(protocol.length()));
+  const int length = protocol.length();
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
+  std::span<const std::uint64_t> received;
+
+  // Shared phase: every party holds `shared`, so one BeepWords call is
+  // the whole round's beeps.
+  BitString shared;
+  shared.Reserve(static_cast<std::size_t>(length));
+  int m = 0;
+  for (; m < length; ++m) {
+    protocol.BeepWords(shared, beeps);
+    received = deliver(beeps);
+    const std::optional<bool> bit = SharedBit(received, n);
+    if (!bit.has_value()) break;
+    shared.PushBack(*bit);
   }
 
-  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
-  for (int m = 0; m < protocol.length(); ++m) {
-    for (int i = 0; i < n; ++i) {
-      // Each party decides from ITS OWN transcript; under correlated
-      // channels all transcripts coincide, so this is equivalent to the
-      // shared-transcript formulation.
-      SetPackedBit(beeps, i,
-                   protocol.party(i).ChooseBeep(result.transcripts[i]));
+  ExecutionResult result;
+  result.transcripts.assign(n, shared);
+  if (m < length) {
+    // Round m delivered different bits: from here each party appends its
+    // own bit and decides from its own transcript.
+    result.first_divergent_round = m;
+    for (BitString& transcript : result.transcripts) {
+      transcript.Reserve(static_cast<std::size_t>(length));
     }
-    const std::span<const std::uint64_t> received = engine.RoundWords(beeps);
-    for (int i = 0; i < n; ++i) {
-      result.transcripts[i].PushBack(PackedBit(received, i));
+    for (;;) {
+      for (int i = 0; i < n; ++i) {
+        result.transcripts[i].PushBack(PackedBit(received, i));
+      }
+      if (++m == length) break;
+      for (int i = 0; i < n; ++i) {
+        SetPackedBit(beeps, i,
+                     protocol.party(i).ChooseBeep(result.transcripts[i]));
+      }
+      received = deliver(beeps);
     }
   }
 
@@ -35,6 +54,14 @@ ExecutionResult Execute(const Protocol& protocol, RoundEngine& engine) {
         protocol.party(i).ComputeOutput(result.transcripts[i]));
   }
   return result;
+}
+
+ExecutionResult Execute(const Protocol& protocol, RoundEngine& engine) {
+  NB_REQUIRE(engine.num_parties() == protocol.num_parties(),
+             "round engine sized for a different party count");
+  return Execute(protocol, [&engine](std::span<const std::uint64_t> beeps) {
+    return engine.RoundWords(beeps);
+  });
 }
 
 ExecutionResult Execute(const Protocol& protocol, const Channel& channel,

@@ -1,8 +1,22 @@
 #include "protocol/protocol.h"
 
+#include <algorithm>
+
+#include "channel/channel.h"
 #include "util/require.h"
 
 namespace noisybeeps {
+
+void Protocol::BeepWords(const BitString& prefix,
+                         std::span<std::uint64_t> words) const {
+  const int n = num_parties();
+  NB_REQUIRE(words.size() == WordsForParties(n),
+             "beep word span does not match the party count");
+  std::fill(words.begin(), words.end(), 0);
+  for (int i = 0; i < n; ++i) {
+    if (party(i).ChooseBeep(prefix)) SetPackedBit(words, i, true);
+  }
+}
 
 BasicProtocol::BasicProtocol(std::vector<std::unique_ptr<Party>> parties,
                              int length)

@@ -8,7 +8,9 @@
 #ifndef NOISYBEEPS_PROTOCOL_PROTOCOL_H_
 #define NOISYBEEPS_PROTOCOL_PROTOCOL_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "protocol/party.h"
@@ -24,6 +26,17 @@ class Protocol {
   [[nodiscard]] virtual int length() const = 0;
   // Precondition: 0 <= i < num_parties().
   [[nodiscard]] virtual const Party& party(int i) const = 0;
+
+  // Every party's beep for round |prefix| + 1 when all of them hold the
+  // same prefix, packed 64 parties per word as for RoundEngine::RoundWords:
+  // overwrites every word, setting bit i iff party(i).ChooseBeep(prefix);
+  // the tail bits past num_parties() come back zero.  The default asks
+  // each party in turn.  Parties are pure (protocol/party.h), so an
+  // override that computes the same bits another way is exact; a protocol
+  // that knows its parties' beep rule can produce a round in a few word
+  // operations.  Precondition: words.size() == WordsForParties(n).
+  virtual void BeepWords(const BitString& prefix,
+                         std::span<std::uint64_t> words) const;
 };
 
 // The standard concrete protocol: owns its parties.

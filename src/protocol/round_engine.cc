@@ -1,7 +1,6 @@
 #include "protocol/round_engine.h"
 
-#include <bit>
-
+#include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -27,7 +26,7 @@ std::span<const std::uint64_t> RoundEngine::RoundWords(
     std::span<const std::uint64_t> beep_words) {
   CheckBeepWords(beep_words);
   std::int64_t num_beepers = 0;
-  for (std::uint64_t w : beep_words) num_beepers += std::popcount(w);
+  for (std::uint64_t w : beep_words) num_beepers += WordPopCount(w);
   channel_->DeliverWords(num_beepers, received_words_, num_parties_,
                          word_mode_, *rng_);
   ++rounds_used_;

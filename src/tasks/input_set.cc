@@ -1,5 +1,9 @@
 #include "tasks/input_set.h"
 
+#include <algorithm>
+#include <bit>
+#include <span>
+
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -21,28 +25,108 @@ class RepeatedInputSetParty final : public Party {
     return logical_round == input_;
   }
 
+  // Element e is in the set iff its rounds [e*r, e*r + r) meet the
+  // decision.  Reads pi a word at a time.  Precondition: pi covers the
+  // protocol's T = universe * r rounds (later bits are ignored).
   [[nodiscard]] PartyOutput ComputeOutput(const BitString& pi) const override {
+    const std::size_t length =
+        static_cast<std::size_t>(universe_) * repetitions_;
+    NB_REQUIRE(pi.size() >= length, "transcript shorter than the protocol");
     PartyOutput mask((universe_ + 63) / 64, 0);
-    for (int element = 0; element < universe_; ++element) {
-      std::size_t ones = 0;
-      for (int t = 0; t < repetitions_; ++t) {
-        if (pi[static_cast<std::size_t>(element) * repetitions_ + t]) ++ones;
-      }
-      const bool member = decision_ == RoundDecision::kMajority
-                              ? 2 * ones >= static_cast<std::size_t>(repetitions_)
-                              : ones == static_cast<std::size_t>(repetitions_);
-      if (member) {
+    const std::span<const std::uint64_t> words = pi.words();
+    if (repetitions_ == 1) {
+      // One round per element, and either decision reads a lone 1 as
+      // membership: the set is the transcript's first 2n bits.
+      std::copy_n(words.begin(), mask.size(), mask.begin());
+      mask.back() &= BitString::TailMask(length);
+      return mask;
+    }
+    // Walk the 1s in order, counting them per element.  An element with
+    // no 1 is never a member, so only elements that have one are decided.
+    int element = -1;
+    int ones = 0;
+    const auto decide = [&] {
+      if (element >= 0 && IsMember(ones)) {
         mask[element / 64] |= std::uint64_t{1} << (element % 64);
       }
+    };
+    for (std::size_t w = 0; w * 64 < length; ++w) {
+      std::uint64_t word = words[w];
+      if ((w + 1) * 64 > length) word &= BitString::TailMask(length);
+      for (; word != 0; word &= word - 1) {
+        const std::size_t round =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        const int e = static_cast<int>(round / repetitions_);
+        if (e != element) {
+          decide();
+          element = e;
+          ones = 0;
+        }
+        ++ones;
+      }
     }
+    decide();
     return mask;
   }
 
  private:
+  [[nodiscard]] bool IsMember(int ones) const {
+    return decision_ == RoundDecision::kMajority ? 2 * ones >= repetitions_
+                                                 : ones == repetitions_;
+  }
+
   int input_;
   int universe_;
   int repetitions_;
   RoundDecision decision_;
+};
+
+// The r-repetition protocol.  Round m's beepers are the parties whose
+// input is m / r, so BeepWords sets their bits from the parties grouped
+// by input instead of asking every party.
+class RepeatedInputSetProtocol final : public Protocol {
+ public:
+  RepeatedInputSetProtocol(const InputSetInstance& instance, int repetitions,
+                           RoundDecision decision)
+      : repetitions_(repetitions),
+        length_(instance.universe_size() * repetitions),
+        by_input_(static_cast<std::size_t>(instance.universe_size())) {
+    const int universe = instance.universe_size();
+    parties_.reserve(instance.inputs.size());
+    for (const int x : instance.inputs) {
+      NB_REQUIRE(x >= 0 && x < universe, "input out of range");
+      by_input_[x].push_back(num_parties());
+      parties_.emplace_back(x, universe, repetitions, decision);
+    }
+  }
+
+  [[nodiscard]] int num_parties() const override {
+    return static_cast<int>(parties_.size());
+  }
+  [[nodiscard]] int length() const override { return length_; }
+  [[nodiscard]] const Party& party(int i) const override {
+    NB_REQUIRE(i >= 0 && i < num_parties(), "party index out of range");
+    return parties_[static_cast<std::size_t>(i)];
+  }
+
+  void BeepWords(const BitString& prefix,
+                 std::span<std::uint64_t> words) const override {
+    NB_REQUIRE(words.size() == (parties_.size() + 63) / 64,
+               "beep word span does not match the party count");
+    std::fill(words.begin(), words.end(), 0);
+    const std::size_t input = prefix.size() / repetitions_;
+    if (input >= by_input_.size()) return;  // past the last round
+    for (const int i : by_input_[input]) {
+      words[static_cast<std::size_t>(i / 64)] |= std::uint64_t{1}
+                                                 << (i % 64);
+    }
+  }
+
+ private:
+  int repetitions_;
+  int length_;
+  std::vector<RepeatedInputSetParty> parties_;
+  std::vector<std::vector<int>> by_input_;  // party indices, per input
 };
 
 class InputSetFamily final : public ProtocolFamily {
@@ -98,16 +182,9 @@ std::unique_ptr<Protocol> MakeRepeatedInputSetProtocol(
     const InputSetInstance& instance, int repetitions,
     RoundDecision decision) {
   NB_REQUIRE(repetitions >= 1, "repetition factor must be positive");
-  const int universe = instance.universe_size();
-  std::vector<std::unique_ptr<Party>> parties;
-  parties.reserve(instance.inputs.size());
-  for (int x : instance.inputs) {
-    NB_REQUIRE(x >= 0 && x < universe, "input out of range");
-    parties.push_back(std::make_unique<RepeatedInputSetParty>(
-        x, universe, repetitions, decision));
-  }
-  return std::make_unique<BasicProtocol>(std::move(parties),
-                                         universe * repetitions);
+  NB_REQUIRE(!instance.inputs.empty(), "protocol needs at least one party");
+  return std::make_unique<RepeatedInputSetProtocol>(instance, repetitions,
+                                                    decision);
 }
 
 std::unique_ptr<ProtocolFamily> MakeInputSetFamily(int n, int repetitions,

@@ -1,7 +1,6 @@
 #include "util/bitstring.h"
 
-#include <bit>
-
+#include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -118,7 +117,9 @@ void BitString::Resize(std::size_t size) {
 
 std::size_t BitString::PopCount() const {
   std::size_t total = 0;
-  for (std::uint64_t w : words_) total += std::popcount(w);
+  for (std::uint64_t w : words_) {
+    total += static_cast<std::size_t>(WordPopCount(w));
+  }
   return total;
 }
 
@@ -127,7 +128,8 @@ std::size_t BitString::HammingDistance(const BitString& other) const {
              "Hamming distance requires equal-length strings");
   std::size_t total = 0;
   for (std::size_t w = 0; w < words_.size(); ++w) {
-    total += std::popcount(words_[w] ^ other.words_[w]);
+    total +=
+        static_cast<std::size_t>(WordPopCount(words_[w] ^ other.words_[w]));
   }
   return total;
 }

@@ -16,6 +16,18 @@ namespace noisybeeps {
 // floor(log2(x)) for x >= 1.
 [[nodiscard]] int FloorLog2(std::uint64_t x);
 
+// The number of 1 bits of `x`, by SWAR (bit-sliced adds within the word).
+// The build targets baseline x86-64, which has no popcount instruction, so
+// std::popcount compiles to a libgcc call; this inlines to a dozen ALU
+// operations.  Hot word loops (the round engine's beeper count, codeword
+// distances, BitString::PopCount) use it.
+[[nodiscard]] constexpr int WordPopCount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555u;
+  x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return static_cast<int>((x * 0x0101010101010101u) >> 56);
+}
+
 // Majority vote over 0/1 values; ties (possible only for even counts)
 // resolve to 1 so that the decision is deterministic.
 // Precondition: non-empty.

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -367,6 +368,38 @@ TEST(ChannelWords, PackUnpackRoundTrip) {
   std::vector<std::uint8_t> back(static_cast<std::size_t>(n), 0);
   UnpackBits(words, back);
   EXPECT_EQ(back, bytes);
+}
+
+// SharedBit is FillSharedWords' inverse: it answers the bit every listener
+// holds, or nothing when two differ, and ignores the bits past n.
+TEST(ChannelWords, SharedBitInvertsFillSharedWords) {
+  for (const std::int64_t n : {1, 63, 64, 65, 130}) {
+    std::vector<std::uint64_t> words(WordsForParties(n), 0);
+    for (const bool bit : {false, true}) {
+      FillSharedWords(words, n, bit);
+      EXPECT_EQ(SharedBit(words, n), std::optional<bool>(bit)) << n;
+      // Garbage past n does not count.
+      if (n % 64 != 0) {
+        std::vector<std::uint64_t> dirty = words;
+        dirty.back() ^= ~TailWordMask(n);
+        EXPECT_EQ(SharedBit(dirty, n), std::optional<bool>(bit)) << n;
+      }
+      if (n == 1) continue;  // a lone listener always agrees with itself
+      // One listener off, in the first word or in the last one.
+      for (const std::int64_t off : {std::int64_t{1}, n - 1}) {
+        std::vector<std::uint64_t> split = words;
+        SetPackedBit(split, off, !bit);
+        EXPECT_EQ(SharedBit(split, n), std::nullopt)
+            << "n=" << n << " off=" << off;
+        SetPackedBit(split, off, bit);
+        SetPackedBit(split, 0, !bit);
+        EXPECT_EQ(SharedBit(split, n), std::nullopt)
+            << "n=" << n << " party 0 off";
+      }
+    }
+  }
+  std::vector<std::uint64_t> words(2, 0);
+  EXPECT_THROW((void)SharedBit(words, 64), std::invalid_argument);
 }
 
 TEST(ChannelWords, DeliverWordsValidatesItsPreconditions) {

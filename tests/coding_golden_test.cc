@@ -1,5 +1,6 @@
 // Golden matrix for the coding layer: exact seeded outcomes of every
-// simulator on the channels and fault plans it runs under.
+// simulator on the channels and fault plans it runs under, and of direct
+// execution (Execute), whose loop the repetition simulator runs.
 //
 // Each cell runs one Simulate call and pins a single FNV-1a digest over
 // everything the run produced: every party's transcript and owner records,
@@ -18,6 +19,7 @@
 #include "coding/hierarchical_sim.h"
 #include "coding/rewind_sim.h"
 #include "fault/fault_plan.h"
+#include "fault/injection.h"
 #include "resilience/checkpoint.h"
 #include "service/workload.h"
 #include "tasks/input_set.h"
@@ -144,9 +146,9 @@ const Cell kCells[] = {
 // matrix above cannot see a party handed the wrong prefix of the right
 // length.  `random` (adaptive) hashes its whole prefix and `leader` drops
 // parties on transcript content, so here a beep recomputed from, or
-// recorded against, a wrong prefix changes the digest.  The n = 256 cells
-// run `random`'s 1024-round protocol, whose beep function hashes prefixes
-// up to 1024 bits long.
+// recorded against, a wrong prefix changes the digest.  The `random`
+// n = 256 cells run its 1024-round protocol, whose beep function hashes
+// prefixes up to 1024 bits long.
 // clang-format off
 const Cell kAdaptiveCells[] = {
     {"random_repetition_correlated_n8",           "repetition",        "random", "correlated",  8,   false, 0x75b5fc3abc4f4ca6},
@@ -241,6 +243,8 @@ const Cell kAdaptiveCells[] = {
     {"random_hierarchical_correlated_n256",       "hierarchical",      "random", "correlated",  256, false, 0x6a051bef3ad3c7bb},
     {"random_rewind_down_down_n256",              "rewind_down",       "random", "down",        256, false, 0xbffde5a87881e071},
     {"random_hierarchical_down_down_n256",        "hierarchical_down", "random", "down",        256, false, 0x82315684175f463},
+    {"random_repetition_correlated_n256",         "repetition",        "random", "correlated",  256, false, 0xf2080e05a4b13d51},
+    {"leader_repetition_correlated_n256",         "repetition",        "leader", "correlated",  256, false, 0x3cc9042c1a666a46},
 };
 // clang-format on
 
@@ -272,6 +276,130 @@ INSTANTIATE_TEST_SUITE_P(Matrix, CodingGolden, ::testing::ValuesIn(kCells),
                          CellName);
 INSTANTIATE_TEST_SUITE_P(Adaptive, CodingGolden,
                          ::testing::ValuesIn(kAdaptiveCells), CellName);
+
+// Direct execution: Execute (the fault-aware overload) with no coding
+// layer, one noisy round per protocol round.  The digest covers every
+// party's transcript and output and the Rng state after the run.
+// Execute runs only T rounds, so its fault plan starts its sleepy window
+// early enough to hit every cell: party 2 then hears 0 where the others
+// may hear 1, and the loop switches to per-party transcripts.  The r = 3 all-ones cells are E2's
+// setup (bench/bench_lower_bound.cc) at eps = 1/3.
+struct ExecuteCell {
+  const char* name;
+  const char* task;  // a service::MakeWorkload name
+  int repetitions;   // > 1: the r-repetition InputSet protocol, all-ones
+  const char* channel;
+  int n;
+  bool faults;
+  std::uint64_t digest;
+};
+
+std::ostream& operator<<(std::ostream& os, const ExecuteCell& cell) {
+  return os << cell.name;
+}
+
+constexpr const char* kExecuteFaultPlan = "sleepy:2@4-200;babble:5@0-3000:0.3";
+
+std::uint64_t ExecutionDigest(const ExecutionResult& result, const Rng& rng) {
+  std::string out;
+  for (const BitString& transcript : result.transcripts) {
+    AppendBits(out, transcript);
+  }
+  for (const PartyOutput& output : result.outputs) {
+    AppendU64(out, output.size());
+    for (const std::uint64_t word : output) AppendU64(out, word);
+  }
+  for (const std::uint64_t word : rng.SaveState()) AppendU64(out, word);
+  return resilience::Fnv1a64(out);
+}
+
+// clang-format off
+const ExecuteCell kExecuteCells[] = {
+    {"input_set_correlated_n8",            "input_set", 1, "correlated",  8,   false, 0xdd41a4fb9ec886fa},
+    {"input_set_correlated_n8_faults",     "input_set", 1, "correlated",  8,   true,  0x829f1d285e2b7d7a},
+    {"input_set_correlated_n65",           "input_set", 1, "correlated",  65,  false, 0xc9c1d19940775d31},
+    {"input_set_correlated_n65_faults",    "input_set", 1, "correlated",  65,  true,  0x38fe6625132ea039},
+    {"input_set_independent_n8",           "input_set", 1, "independent", 8,   false, 0x601aee2eaaf24f5d},
+    {"input_set_independent_n8_faults",    "input_set", 1, "independent", 8,   true,  0x9c1ea15d7b1d7e3d},
+    {"input_set_independent_n65",          "input_set", 1, "independent", 65,  false, 0x8defe055b10f8f65},
+    {"input_set_independent_n65_faults",   "input_set", 1, "independent", 65,  true,  0x951d749409571465},
+    {"input_set_up_n8",                    "input_set", 1, "up",          8,   false, 0x209408c51d6787cb},
+    {"input_set_up_n8_faults",             "input_set", 1, "up",          8,   true,  0x5066311adeef4c07},
+    {"input_set_up_n65",                   "input_set", 1, "up",          65,  false, 0x20473d82117a09fd},
+    {"input_set_up_n65_faults",            "input_set", 1, "up",          65,  true,  0xeb4e257723edc862},
+    {"input_set_down_n8",                  "input_set", 1, "down",        8,   false, 0xd2c5a87b8dfbce87},
+    {"input_set_down_n8_faults",           "input_set", 1, "down",        8,   true,  0x1254997ec1b32e4b},
+    {"input_set_down_n65",                 "input_set", 1, "down",        65,  false, 0x35152e63a99abc78},
+    {"input_set_down_n65_faults",          "input_set", 1, "down",        65,  true,  0xa5ae7b71e868ae11},
+    {"random_correlated_n8",               "random",    1, "correlated",  8,   false, 0x277e01eff653a3e3},
+    {"random_correlated_n8_faults",        "random",    1, "correlated",  8,   true,  0xc4420edb1ba6d67c},
+    {"random_correlated_n65",              "random",    1, "correlated",  65,  false, 0x53000d4f34daa4f},
+    {"random_correlated_n65_faults",       "random",    1, "correlated",  65,  true,  0xe7807f40537aaff9},
+    {"random_independent_n8",              "random",    1, "independent", 8,   false, 0xa4bbf714fc60a336},
+    {"random_independent_n8_faults",       "random",    1, "independent", 8,   true,  0x6be270ae2e552dbe},
+    {"random_independent_n65",             "random",    1, "independent", 65,  false, 0xfdb181f45f7020da},
+    {"random_independent_n65_faults",      "random",    1, "independent", 65,  true,  0x8afdcbadf9b57075},
+    {"random_up_n8",                       "random",    1, "up",          8,   false, 0xd4579e890d3db14},
+    {"random_up_n8_faults",                "random",    1, "up",          8,   true,  0xf42da6a18eda738c},
+    {"random_up_n65",                      "random",    1, "up",          65,  false, 0x88ed90ffeab71c82},
+    {"random_up_n65_faults",               "random",    1, "up",          65,  true,  0x84976c623a476cfc},
+    {"random_down_n8",                     "random",    1, "down",        8,   false, 0xc669013f4c5eff03},
+    {"random_down_n8_faults",              "random",    1, "down",        8,   true,  0x649e0f0d6e7426c0},
+    {"random_down_n65",                    "random",    1, "down",        65,  false, 0xc827fe2fc59a82ca},
+    {"random_down_n65_faults",             "random",    1, "down",        65,  true,  0xe8945527259f6dcc},
+    {"leader_correlated_n8",               "leader",    1, "correlated",  8,   false, 0x6fd9169775c59d6d},
+    {"leader_correlated_n8_faults",        "leader",    1, "correlated",  8,   true,  0x875f08cea8408b0},
+    {"leader_correlated_n65",              "leader",    1, "correlated",  65,  false, 0x2d18210513da3c34},
+    {"leader_correlated_n65_faults",       "leader",    1, "correlated",  65,  true,  0x6a201f90b8922670},
+    {"leader_independent_n8",              "leader",    1, "independent", 8,   false, 0x93bed655c27f7ec6},
+    {"leader_independent_n8_faults",       "leader",    1, "independent", 8,   true,  0xf4131fec03566e37},
+    {"leader_independent_n65",             "leader",    1, "independent", 65,  false, 0x929d0bde61f47fab},
+    {"leader_independent_n65_faults",      "leader",    1, "independent", 65,  true,  0x1bff8e00649f25db},
+    {"leader_up_n8",                       "leader",    1, "up",          8,   false, 0x3343b5e323894ed1},
+    {"leader_up_n8_faults",                "leader",    1, "up",          8,   true,  0x6ef18b228ebbc603},
+    {"leader_up_n65",                      "leader",    1, "up",          65,  false, 0x21e78ae35b4e0ebc},
+    {"leader_up_n65_faults",               "leader",    1, "up",          65,  true,  0x65771cc407b86dcd},
+    {"leader_down_n8",                     "leader",    1, "down",        8,   false, 0xc3145e61667bd2b4},
+    {"leader_down_n8_faults",              "leader",    1, "down",        8,   true,  0xea0b32a7d010d3ff},
+    {"leader_down_n65",                    "leader",    1, "down",        65,  false, 0xc04fb36fef5ca61d},
+    {"leader_down_n65_faults",             "leader",    1, "down",        65,  true,  0xd24e53449cc07c64},
+    {"input_set_r3_all_ones_up_n8",        "input_set", 3, "up",          8,   false, 0x2baf84d791d120d4},
+    {"input_set_r3_all_ones_up_n8_faults", "input_set", 3, "up",          8,   true,  0x1cbd15e986256105},
+    {"input_set_r3_all_ones_up_n65",       "input_set", 3, "up",          65,  false, 0x42a51e0b77d08f65},
+    {"input_set_r3_all_ones_up_n65_faults","input_set", 3, "up",          65,  true,  0x563e85c8b229531f},
+};
+// clang-format on
+
+class ExecuteGolden : public ::testing::TestWithParam<ExecuteCell> {};
+
+TEST_P(ExecuteGolden, DigestIsPinned) {
+  const ExecuteCell& cell = GetParam();
+  Rng rng(kSeed);
+  std::unique_ptr<Protocol> protocol;
+  double eps = std::string(cell.channel) == "down" ? 0.1 : 0.05;
+  if (cell.repetitions > 1) {
+    const InputSetInstance instance = SampleInputSet(cell.n, rng);
+    protocol = MakeRepeatedInputSetProtocol(instance, cell.repetitions,
+                                            RoundDecision::kAllOnes);
+    eps = 1.0 / 3.0;
+  } else {
+    protocol = service::MakeWorkload(cell.task, cell.n, rng).protocol;
+  }
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel(cell.channel, eps);
+  const FaultPlan faults = cell.faults
+                               ? FaultPlan::Parse(kExecuteFaultPlan, kFaultSeed)
+                               : FaultPlan();
+  const ExecutionResult result = Execute(*protocol, *channel, faults, rng);
+  EXPECT_EQ(ExecutionDigest(result, rng), cell.digest)
+      << std::hex << "0x" << ExecutionDigest(result, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ExecuteGolden, ::testing::ValuesIn(kExecuteCells),
+    [](const ::testing::TestParamInfo<ExecuteCell>& cell_info) {
+      return std::string(cell_info.param.name);
+    });
 
 // Budget edges.  Input set at n = 8 has T = 16 rounds in two 8-round
 // chunks of 580 noisy rounds each, so max_rounds = 870 lands inside the

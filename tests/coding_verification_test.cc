@@ -13,6 +13,7 @@
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
 #include "coding/chunk_sim.h"
+#include "coding/sim_common.h"
 #include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
 #include "tasks/leader_election.h"
@@ -335,12 +336,11 @@ TEST(CommunicateFlags, NoiselessOrSemantics) {
   RoundEngine engine(channel, rng, 3);
   const std::vector<std::uint8_t> none{0, 0, 0};
   const std::vector<std::uint8_t> one{0, 1, 0};
-  for (auto v : CommunicateFlags(engine, none, 3, FlagRule::kMajority)) {
-    EXPECT_EQ(v, 0);
-  }
-  for (auto v : CommunicateFlags(engine, one, 3, FlagRule::kMajority)) {
-    EXPECT_EQ(v, 1);
-  }
+  // Packed, one bit per party, tail bits zero.
+  EXPECT_EQ(CommunicateFlags(engine, none, 3, FlagRule::kMajority),
+            std::vector<std::uint64_t>{0});
+  EXPECT_EQ(CommunicateFlags(engine, one, 3, FlagRule::kMajority),
+            std::vector<std::uint64_t>{0b111});
 }
 
 TEST(CommunicateFlags, MajoritySurvivesModerateNoise) {
@@ -355,7 +355,7 @@ TEST(CommunicateFlags, MajoritySurvivesModerateNoise) {
     if (raised) flags[1] = 1;
     const auto verdict =
         CommunicateFlags(engine, flags, 15, FlagRule::kMajority);
-    correct += (verdict[0] != 0) == raised;
+    correct += PackedBit(verdict, 0) == raised;
   }
   EXPECT_GE(correct, 195);
 }
@@ -369,7 +369,7 @@ TEST(CommunicateFlags, AnyOneRuleIsExactUnderDownNoise) {
     RoundEngine engine(channel, rng, 3);
     const std::vector<std::uint8_t> none{0, 0, 0};
     const auto verdict = CommunicateFlags(engine, none, 4, FlagRule::kAnyOne);
-    for (auto v : verdict) EXPECT_EQ(v, 0);
+    EXPECT_EQ(verdict, std::vector<std::uint64_t>{0});
   }
   // Raised flag: missed only if all reps drop (0.3^6 ~ 0.07%).
   int heard = 0;
@@ -377,7 +377,7 @@ TEST(CommunicateFlags, AnyOneRuleIsExactUnderDownNoise) {
     RoundEngine engine(channel, rng, 3);
     const std::vector<std::uint8_t> one{1, 0, 0};
     const auto verdict = CommunicateFlags(engine, one, 6, FlagRule::kAnyOne);
-    heard += verdict[2] != 0;
+    heard += PackedBit(verdict, 2);
   }
   EXPECT_GE(heard, 198);
 }
@@ -397,8 +397,10 @@ TEST(RepeatRound, MatchesAPerPartyCount) {
       Rng ref_rng(static_cast<std::uint64_t>(reps));
       RoundEngine fast(channel, fast_rng, n);
       RoundEngine ref(channel, ref_rng, n);
-      const std::vector<std::uint8_t> decoded =
+      const std::vector<std::uint64_t> decoded =
           RepeatRound(fast, beeps, reps, rule);
+      ASSERT_EQ(decoded.size(), beeps.size());
+      ASSERT_EQ(decoded.back() & ~TailWordMask(n), 0u) << "reps=" << reps;
       std::vector<int> ones(static_cast<std::size_t>(n), 0);
       for (int t = 0; t < reps; ++t) {
         const auto received = ref.RoundWords(beeps);
@@ -410,12 +412,32 @@ TEST(RepeatRound, MatchesAPerPartyCount) {
         const int count = ones[static_cast<std::size_t>(i)];
         const bool expected =
             rule == FlagRule::kMajority ? 2 * count >= reps : count > 0;
-        ASSERT_EQ(decoded[static_cast<std::size_t>(i)] != 0, expected)
+        ASSERT_EQ(PackedBit(decoded, i), expected)
             << "reps=" << reps << " party=" << i;
       }
       EXPECT_EQ(fast.rounds_used(), reps);
     }
   }
+}
+
+// The tracker's packed overload compares party with party: at n = 65 an
+// all-ones round is word 0 all ones and word 1 holding one bit, which a
+// word-by-word compare would call a divergence.
+TEST(DivergenceTracker, ComparesPackedPartiesNotWords) {
+  const std::int64_t n = 65;
+  std::vector<std::uint64_t> words(WordsForParties(n), 0);
+  FillSharedWords(words, n, true);
+  internal::DivergenceTracker tracker;
+  tracker.Observe(words, n, "verify-flags", 10);
+  EXPECT_FALSE(tracker.diverged());
+  SetPackedBit(words, 64, false);
+  tracker.Observe(words, n, "verify-flags", 20);
+  tracker.Observe(words, n, "audit", 30);  // no-op once diverged
+  ASSERT_TRUE(tracker.diverged());
+  SimulationVerdict verdict;
+  tracker.Export(verdict);
+  EXPECT_EQ(verdict.first_divergent_phase, "verify-flags");
+  EXPECT_EQ(verdict.first_divergence_round, 20);
 }
 
 TEST(BinarySearchVerifiedPrefix, FindsMinimumViolationNoiselessly) {

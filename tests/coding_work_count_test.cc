@@ -1,21 +1,33 @@
-// Work counts of the chunk loop: how often the rewind-if-error simulators
-// call a party's beep function.  Chunk simulation calls it once per party
-// per simulated round, and each simulated round costs rep_factor noisy
-// rounds of the "chunk-sim" phase.  Verification and audits read the beeps
-// recorded during chunk simulation, so they add no calls: the count is
-// exactly n * phase_rounds["chunk-sim"] / rep_factor.  A scheme that
-// replays the beep function to verify a chunk or audit the committed
-// transcript calls it about twice as often.
+// Work counts: how often the simulators call a party's beep function.
+//
+// The chunk loop.  Chunk simulation calls it once per party per simulated
+// round, and each simulated round costs rep_factor noisy rounds of the
+// "chunk-sim" phase.  Verification and audits read the beeps recorded
+// during chunk simulation, so they add no calls: the count is exactly
+// n * phase_rounds["chunk-sim"] / rep_factor.  A scheme that replays the
+// beep function to verify a chunk or audit the committed transcript calls
+// it about twice as often.
+//
+// Execute's loop (Execute and the repetition simulator).  While every
+// party has received the same bits it makes one Protocol::BeepWords call
+// per round, which InputSet answers without asking any party.  From the
+// first round whose delivered bits differ, m, it asks each party for each
+// later round: m + 1 BeepWords calls (round m's beeps were chosen on the
+// shared transcript) and n * (T - m - 1) ChooseBeep calls.  A loop that
+// keeps n transcripts from the start makes n * T ChooseBeep calls.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "coding/hierarchical_sim.h"
+#include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
 #include "fault/fault_plan.h"
+#include "fault/injection.h"
 #include "service/workload.h"
 #include "util/rng.h"
 
@@ -41,7 +53,9 @@ class CountingParty final : public Party {
   std::int64_t& calls_;
 };
 
-// Wraps every party of a protocol in a CountingParty sharing one counter.
+// Wraps every party of a protocol in a CountingParty sharing one counter,
+// and forwards BeepWords to the protocol's own, counting those calls
+// apart.
 class CountingProtocol final : public Protocol {
  public:
   explicit CountingProtocol(const Protocol& inner) : inner_(inner) {
@@ -58,11 +72,21 @@ class CountingProtocol final : public Protocol {
   [[nodiscard]] const Party& party(int i) const override {
     return parties_[static_cast<std::size_t>(i)];
   }
+  void BeepWords(const BitString& prefix,
+                 std::span<std::uint64_t> words) const override {
+    ++beep_words_calls_;
+    inner_.BeepWords(prefix, words);
+  }
+  // ChooseBeep calls.
   [[nodiscard]] std::int64_t calls() const { return calls_; }
+  [[nodiscard]] std::int64_t beep_words_calls() const {
+    return beep_words_calls_;
+  }
 
  private:
   const Protocol& inner_;
   std::int64_t calls_ = 0;
+  mutable std::int64_t beep_words_calls_ = 0;
   std::vector<CountingParty> parties_;
 };
 
@@ -150,6 +174,89 @@ TEST_P(ChooseBeepCount, OnlyChunkSimulationCallsTheBeepFunction) {
 INSTANTIATE_TEST_SUITE_P(
     Schemes, ChooseBeepCount, ::testing::ValuesIn(Cases()),
     [](const ::testing::TestParamInfo<Case>& case_info) {
+      return case_info.param.name;
+    });
+
+struct SharedCase {
+  std::string name;
+  bool simulator;  // RepetitionSimulator; otherwise Execute
+  const char* channel;
+  int n;
+  bool faults;
+};
+
+std::ostream& operator<<(std::ostream& os, const SharedCase& c) {
+  return os << c.name;
+}
+
+std::vector<SharedCase> SharedCases() {
+  std::vector<SharedCase> cases;
+  for (const bool simulator : {false, true}) {
+    const std::string runner = simulator ? "repetition" : "execute";
+    cases.push_back({runner + "_correlated_n65", simulator, "correlated", 65,
+                     false});
+    cases.push_back({runner + "_independent_n65", simulator, "independent",
+                     65, false});
+    cases.push_back({runner + "_correlated_n65_sleepy", simulator,
+                     "correlated", 65, true});
+  }
+  // e2's shape: 2,097,152 ChooseBeep calls per trial in a loop that keeps
+  // n transcripts from the start.
+  cases.push_back({"repetition_correlated_n1024", true, "correlated", 1024,
+                   false});
+  return cases;
+}
+
+class SharedTranscriptCount : public ::testing::TestWithParam<SharedCase> {};
+
+TEST_P(SharedTranscriptCount, PartiesAreAskedOnlyAfterTheyDiverge) {
+  const SharedCase& c = GetParam();
+  Rng rng(7);
+  const service::Workload workload =
+      service::MakeWorkload("input_set", c.n, rng);
+  const CountingProtocol protocol(*workload.protocol);
+  // At 0.3 a party's majority over the repetition simulator's 29 copies
+  // of a round is wrong with probability ≈1.2 %, so one of 65 parties
+  // decodes differently in about half of the rounds.
+  const bool independent = std::string(c.channel) == "independent";
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel(c.channel, independent ? 0.3 : 0.05);
+  // A receive fault: party 2 hears nothing in noisy rounds 20-600.
+  const FaultPlan faults =
+      c.faults ? FaultPlan::Parse("sleepy:2@20-600", 11) : FaultPlan();
+  int divergent_round = -1;
+  if (c.simulator) {
+    const RepetitionSimulator sim;
+    const SimulationResult result =
+        sim.Simulate(protocol, *channel, faults, rng);
+    const std::int64_t reps = sim.EffectiveRepFactor(c.n);
+    if (result.verdict.first_divergence_round >= 0) {
+      ASSERT_EQ(result.verdict.first_divergence_round % reps, 0);
+      divergent_round =
+          static_cast<int>(result.verdict.first_divergence_round / reps) - 1;
+    }
+  } else {
+    divergent_round =
+        Execute(protocol, *channel, faults, rng).first_divergent_round;
+  }
+
+  const std::int64_t n = c.n;
+  const std::int64_t length = protocol.length();
+  if (!independent && !c.faults) {
+    EXPECT_EQ(divergent_round, -1);
+    EXPECT_EQ(protocol.calls(), 0);
+    EXPECT_EQ(protocol.beep_words_calls(), length);
+    return;
+  }
+  ASSERT_GE(divergent_round, 0);
+  ASSERT_LT(divergent_round, length / 2);
+  EXPECT_EQ(protocol.beep_words_calls(), divergent_round + 1);
+  EXPECT_EQ(protocol.calls(), n * (length - divergent_round - 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runners, SharedTranscriptCount, ::testing::ValuesIn(SharedCases()),
+    [](const ::testing::TestParamInfo<SharedCase>& case_info) {
       return case_info.param.name;
     });
 

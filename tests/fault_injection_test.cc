@@ -218,6 +218,33 @@ TEST(FaultExecute, CrashedPartyChangesTheSharedTranscript) {
   EXPECT_NE(faulted.shared(), reference.shared());
 }
 
+// A sleepy receiver hears 0 in its window: the parties' transcripts part
+// at the first round of the window in which the others hear a 1.
+TEST(FaultExecute, SleepyReceiverDivergesAtTheFirstRoundItMisses) {
+  InputSetInstance instance;
+  instance.inputs = {0, 1, 2, 3, 4, 5, 6, 7};  // beeps in rounds 0..7
+  const auto protocol = MakeInputSetProtocol(instance);
+  const NoiselessChannel channel;
+  FaultPlan plan;
+  plan.Sleepy(2, 4, 9);  // party 2 beeps in round 2, before its window
+  Rng rng(1);
+  const ExecutionResult result = Execute(*protocol, channel, plan, rng);
+  EXPECT_EQ(result.first_divergent_round, 4);
+  const BitString reference = ReferenceTranscript(*protocol);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(result.transcripts[i],
+              i == 2 ? BitString::FromString("1111000000000000") : reference)
+        << "party " << i;
+  }
+
+  // A window in which every round is a 0 changes nothing.
+  FaultPlan quiet;
+  quiet.Sleepy(2, 8, 15);
+  Rng quiet_rng(1);
+  EXPECT_EQ(Execute(*protocol, channel, quiet, quiet_rng).first_divergent_round,
+            -1);
+}
+
 // The golden zero-fault no-op, pinned for every simulator: Simulate with
 // an explicitly empty FaultPlan is bit-for-bit the 3-arg fault-free path.
 template <typename Sim>

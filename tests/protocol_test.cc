@@ -96,6 +96,38 @@ TEST(Execute, IndependentChannelCanDiverge) {
   EXPECT_NE(result.transcripts[0], result.transcripts[1]);
 }
 
+// Execute shares one transcript until the first round whose delivered bits
+// differ between parties, and reports that round.
+TEST(Execute, CorrelatedChannelNeverDiverges) {
+  Rng rng(2);
+  const auto protocol = PatternProtocol({"0101100", "0011010"});
+  const CorrelatedNoisyChannel channel(0.4);
+  const ExecutionResult result = Execute(*protocol, channel, rng);
+  EXPECT_EQ(result.first_divergent_round, -1);
+}
+
+TEST(Execute, IndependentChannelDivergesEarly) {
+  const IndependentNoisyChannel channel(0.05);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const auto protocol = MakeInputSetProtocol(SampleInputSet(65, rng));
+    const ExecutionResult result = Execute(*protocol, channel, rng);
+    // 65 listeners all hear a round alike with probability < 4 %.
+    const int m = result.first_divergent_round;
+    ASSERT_GE(m, 0);
+    EXPECT_LT(m, 10);
+    // Everyone agrees before round m; someone disagrees at it.
+    const BitString& first = result.transcripts.front();
+    bool split = false;
+    for (const BitString& transcript : result.transcripts) {
+      ASSERT_EQ(transcript.size(), first.size());
+      for (int r = 0; r < m; ++r) ASSERT_EQ(transcript[r], first[r]);
+      split = split || transcript[m] != first[m];
+    }
+    EXPECT_TRUE(split) << "seed " << seed;
+  }
+}
+
 TEST(Execute, NoisyTranscriptFlipRate) {
   Rng rng(4);
   const auto protocol = PatternProtocol(

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
@@ -124,6 +126,103 @@ TEST(InputSet, AllCorrectDetectsWrongOutput) {
   EXPECT_TRUE(InputSetAllCorrect(instance, outputs));
   outputs[1][0] ^= 1;
   EXPECT_FALSE(InputSetAllCorrect(instance, outputs));
+}
+
+// InputSet's BeepWords override sets only the bits of the parties whose
+// input is the round's logical round; it must produce exactly what the
+// base class's per-party loop produces, at every round and one past the
+// end, over word-straddling party counts, with inputs shared by several
+// parties, and whatever the words held before.
+TEST(InputSet, BeepWordsMatchesThePerPartyDefault) {
+  Rng rng(17);
+  for (const int n : {1, 2, 63, 64, 65, 130}) {
+    std::vector<InputSetInstance> instances(2);
+    instances[0] = SampleInputSet(n, rng);
+    // Every party on one of three inputs: large groups per round.
+    for (int i = 0; i < n; ++i) {
+      instances[1].inputs.push_back((i % 3) % (2 * n));
+    }
+    for (const InputSetInstance& instance : instances) {
+      for (const int r : {1, 2, 3}) {
+        const auto protocol =
+            MakeRepeatedInputSetProtocol(instance, r, RoundDecision::kAllOnes);
+        const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+        BitString prefix;
+        for (int m = 0; m <= protocol->length() + 1; ++m) {
+          std::vector<std::uint64_t> fast(words, 0xdeadbeefcafef00du);
+          std::vector<std::uint64_t> slow(words, ~std::uint64_t{0});
+          protocol->BeepWords(prefix, fast);
+          protocol->Protocol::BeepWords(prefix, slow);
+          ASSERT_EQ(fast, slow) << "n=" << n << " r=" << r << " m=" << m;
+          const std::uint64_t tail =
+              n % 64 == 0 ? 0 : ~((std::uint64_t{1} << (n % 64)) - 1);
+          ASSERT_EQ(fast.back() & tail, 0u) << "n=" << n << " m=" << m;
+          prefix.PushBack(rng.Bit());
+        }
+      }
+    }
+  }
+}
+
+TEST(InputSet, BeepWordsRejectsAMisSizedSpan) {
+  InputSetInstance instance;
+  instance.inputs = {0, 1, 2};
+  const auto protocol = MakeInputSetProtocol(instance);
+  std::vector<std::uint64_t> words(2, 0);
+  EXPECT_THROW(protocol->BeepWords(BitString(), words), std::invalid_argument);
+  EXPECT_THROW(protocol->Protocol::BeepWords(BitString(), words),
+               std::invalid_argument);
+}
+
+// ComputeOutput reads the transcript a word at a time (a word copy for
+// r = 1, a walk over the 1 bits otherwise).  It must decode what a bit at a
+// time count of each element's rounds decodes.
+PartyOutput BitLoopOutput(const BitString& pi, int universe, int r,
+                          RoundDecision decision) {
+  PartyOutput mask((static_cast<std::size_t>(universe) + 63) / 64, 0);
+  for (int element = 0; element < universe; ++element) {
+    int ones = 0;
+    for (int t = 0; t < r; ++t) {
+      ones += pi[static_cast<std::size_t>(element * r + t)] ? 1 : 0;
+    }
+    const bool member = decision == RoundDecision::kMajority ? 2 * ones >= r
+                                                              : ones == r;
+    if (member) mask[element / 64] |= std::uint64_t{1} << (element % 64);
+  }
+  return mask;
+}
+
+TEST(InputSet, ComputeOutputMatchesABitLoop) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const int n = 1 + static_cast<int>(rng.UniformInt(80));
+    const InputSetInstance instance = SampleInputSet(n, rng);
+    for (const int r : {1, 2, 3, 5}) {
+      for (const RoundDecision decision :
+           {RoundDecision::kMajority, RoundDecision::kAllOnes}) {
+        const auto protocol =
+            MakeRepeatedInputSetProtocol(instance, r, decision);
+        const auto length = static_cast<std::size_t>(protocol->length());
+        // Dense enough that each element's rounds take every count.
+        BitString pi;
+        for (std::size_t m = 0; m < length + 70; ++m) {
+          pi.PushBack(rng.Bernoulli(0.6));
+        }
+        for (const std::size_t size : {length, length + 70}) {
+          const BitString transcript = pi.Prefix(size);
+          for (int i = 0; i < n; i += 7) {
+            ASSERT_EQ(protocol->party(i).ComputeOutput(transcript),
+                      BitLoopOutput(transcript, 2 * n, r, decision))
+                << "seed=" << seed << " n=" << n << " r=" << r
+                << " size=" << size;
+          }
+        }
+        EXPECT_THROW(
+            (void)protocol->party(0).ComputeOutput(pi.Prefix(length - 1)),
+            std::invalid_argument);
+      }
+    }
+  }
 }
 
 TEST(InputSetFamily, MatchesProtocolBehaviour) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -20,6 +22,27 @@ TEST(CeilLog2, SmallValues) {
   EXPECT_EQ(CeilLog2(1024), 10);
   EXPECT_EQ(CeilLog2(1025), 11);
   EXPECT_THROW((void)CeilLog2(0), std::invalid_argument);
+}
+
+static_assert(WordPopCount(0) == 0);
+static_assert(WordPopCount(~std::uint64_t{0}) == 64);
+
+TEST(WordPopCount, MatchesStdPopcount) {
+  EXPECT_EQ(WordPopCount(0), std::popcount(std::uint64_t{0}));
+  EXPECT_EQ(WordPopCount(~std::uint64_t{0}), 64);
+  for (int b = 0; b < 64; ++b) {
+    const std::uint64_t bit = std::uint64_t{1} << b;
+    EXPECT_EQ(WordPopCount(bit), 1) << b;
+    EXPECT_EQ(WordPopCount(~bit), 63) << b;
+  }
+  Rng rng(5);
+  for (int t = 0; t < 10000; ++t) {
+    // Sparse, dense and uniform words.
+    std::uint64_t word = rng.NextU64();
+    if (t % 3 == 1) word &= rng.NextU64() & rng.NextU64();
+    if (t % 3 == 2) word |= rng.NextU64() | rng.NextU64();
+    ASSERT_EQ(WordPopCount(word), std::popcount(word)) << std::hex << word;
+  }
 }
 
 TEST(FloorLog2, SmallValues) {
