@@ -81,7 +81,14 @@ enum class FlagRule {
 // `rule`, packed the same way (tail bits zero; read party i's with
 // PackedBit).  The repetition code of every repeated phase: chunk
 // simulation, the repetition simulator, and the flag exchanges below.
-// Precondition: reps >= 1.
+// Each repetition is one RoundEngine::SharedRound bit, counted in one
+// scalar for every party, while the engine accepts it; once it declines,
+// the remaining repetitions run through RoundWords and are counted per
+// party, bit-sliced.  Either way the rounds, the draws and the result are
+// the same.
+// Preconditions: reps >= 1, beeps.size() == WordsForParties(
+// engine.num_parties()), and the unused tail bits of the last beep word
+// are zero.
 [[nodiscard]] std::vector<std::uint64_t> RepeatRound(
     RoundEngine& engine, std::span<const std::uint64_t> beeps, int reps,
     FlagRule rule);

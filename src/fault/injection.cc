@@ -90,6 +90,11 @@ std::span<const std::uint64_t> FaultyRoundEngine::RoundWords(
   return faulted_received_words_;
 }
 
+std::optional<bool> FaultyRoundEngine::SharedRound(std::int64_t num_beepers) {
+  if (injector_.active()) return std::nullopt;
+  return RoundEngine::SharedRound(num_beepers);
+}
+
 ExecutionResult Execute(const Protocol& protocol, const Channel& channel,
                         const FaultPlan& plan, Rng& rng) {
   FaultyRoundEngine engine(channel, rng, protocol.num_parties(), plan);

@@ -14,7 +14,10 @@
 //
 // FaultyRoundEngine is the injection point: a RoundEngine that applies the
 // plan around every noisy round, for the simulators and for direct
-// (uncoded) execution alike.  With an empty plan it delegates straight to
+// (uncoded) execution alike.  It overrides both of the engine's rounds:
+// RoundWords applies the plan, and SharedRound declines whenever the plan
+// has a spec, because a fault rewrites one party's bit and the parties no
+// longer hear alike.  With an empty plan both delegate straight to
 // RoundEngine -- the zero-fault no-op the golden test pins down.
 //
 // Overlapping specs compose in plan order: each active spec rewrites the
@@ -26,6 +29,7 @@
 #define NOISYBEEPS_FAULT_INJECTION_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -74,6 +78,8 @@ class FaultyRoundEngine final : public RoundEngine {
 
   std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words) override;
+  // Declines (nullopt, no draw, no round) whenever the plan has a spec.
+  std::optional<bool> SharedRound(std::int64_t num_beepers) override;
 
  private:
   FaultInjector injector_;

@@ -14,11 +14,16 @@
 // Rounds are word-packed, 64 parties per u64 (see docs/PERFORMANCE.md);
 // Round is a byte-per-party adapter for tests and tooling.  Party counts
 // are std::int64_t: a round can carry millions of parties, beyond `int`.
+// SharedRound is the one-bit round for an engine whose every party is
+// certain to hear the same bit; the repeated phases (RepeatRound in
+// coding/verification.h) run through it and fall back to RoundWords
+// when the engine declines.
 #ifndef NOISYBEEPS_PROTOCOL_ROUND_ENGINE_H_
 #define NOISYBEEPS_PROTOCOL_ROUND_ENGINE_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,11 +51,25 @@ class RoundEngine {
   // tail bits of the last word zero).  Virtual so that fault/injection.h
   // can wrap the round boundary (send-side faults before the channel sees
   // the beeper count, receive-side faults after delivery) without the
-  // simulators or the Channel implementations noticing.
+  // simulators or the Channel implementations noticing.  A subclass that
+  // overrides RoundWords to change what parties hear must override
+  // SharedRound too (declining it, as FaultyRoundEngine does under a
+  // plan), or the repeated phases would skip its change.
   // Preconditions: beep_words.size() == WordsForParties(num_parties()),
   // and the unused tail bits of the last beep word are zero.
   virtual std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words);
+
+  // Runs one noisy round in which `num_beepers` parties beep and every
+  // party is certain to hear the same bit, and returns that bit: the
+  // channel's SharedOutcome, which is the draw RoundWords' delivery makes,
+  // counted under the current phase as RoundWords counts it.  The round
+  // costs O(1), not O(num_parties() / 64).  Returns nullopt, drawing
+  // nothing and counting no round, when the engine cannot promise one bit
+  // for everyone: its channel is not a SharedDrawChannel (the independent
+  // channel, the trace wrappers), or a subclass rewrites per-party bits.
+  // Precondition: 0 <= num_beepers <= num_parties().
+  virtual std::optional<bool> SharedRound(std::int64_t num_beepers);
 
   // Byte-per-party view of RoundWords: beeps[i] != 0 iff party i beeps;
   // returns the per-party received bits (0/1), valid until the next call.
@@ -92,13 +111,18 @@ class RoundEngine {
   [[nodiscard]] const Channel& channel() const { return *channel_; }
   [[nodiscard]] Rng& rng() { return *rng_; }
 
- protected:
   // Throws std::invalid_argument unless `beep_words` meets RoundWords'
-  // preconditions.  Wrappers call it before copying the span.
+  // preconditions.  Wrappers call it before copying the span, and
+  // RepeatRound before it counts the beepers for SharedRound.
   void CheckBeepWords(std::span<const std::uint64_t> beep_words) const;
 
  private:
+  // Counts one round under the current phase.
+  void CountRound();
+
   const Channel* channel_;
+  // channel_ when it draws one outcome for every listener, else nullptr.
+  const SharedDrawChannel* shared_channel_;
   Rng* rng_;
   std::int64_t num_parties_;
   WordMode word_mode_ = WordMode::kStreamCompat;
@@ -110,7 +134,7 @@ class RoundEngine {
   std::string phase_;
   std::map<std::string, std::int64_t> phase_rounds_;
   // Points at phase_rounds_[phase_] once the first round of the current
-  // phase has run; nullptr until then (see SetPhase / RoundWords).
+  // phase has run; nullptr until then (see SetPhase / CountRound).
   std::int64_t* phase_counter_ = nullptr;
 };
 

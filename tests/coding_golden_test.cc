@@ -98,6 +98,15 @@ const Cell kCells[] = {
     {"repetition_burst_n8_faults",        "repetition",   "input_set",    "burst",       8,  true,  0x8f6dd10eb616c8f7},
     {"repetition_burst_n65",              "repetition",   "input_set",    "burst",       65, false, 0xff274657787748c0},
     {"repetition_burst_n65_faults",       "repetition",   "input_set",    "burst",       65, true,  0x9ae420f0b03c4a46},
+    {"repetition_up_n8",                  "repetition",   "input_set",    "up",          8,  false, 0xb9e94466cbd23199},
+    {"repetition_up_n8_faults",           "repetition",   "input_set",    "up",          8,  true,  0xe1faaeecfa8c4dcf},
+    {"repetition_up_n65",                 "repetition",   "input_set",    "up",          65, false, 0x1ef1d0c6c9859edc},
+    {"repetition_up_n65_faults",          "repetition",   "input_set",    "up",          65, true,  0xbfa40fbe52991a3c},
+    {"repetition_down_n8",                "repetition",   "input_set",    "down",        8,  false, 0x4e123f3a3aff7d3d},
+    {"repetition_down_n8_faults",         "repetition",   "input_set",    "down",        8,  true,  0xdbdaea4b696fb062},
+    {"repetition_down_n65",               "repetition",   "input_set",    "down",        65, false, 0xc09a93c1f34a6516},
+    {"repetition_down_n65_faults",        "repetition",   "input_set",    "down",        65, true,  0x95c0852865381450},
+    {"repetition_correlated_n1024",       "repetition",   "input_set",    "correlated",  1024, false, 0x9245d9965c6a216e},
     {"rewind_correlated_n8",              "rewind",       "input_set",    "correlated",  8,  false, 0x907bf499ee133bf},
     {"rewind_correlated_n8_faults",       "rewind",       "input_set",    "correlated",  8,  true,  0x5d720d3d93990018},
     {"rewind_correlated_n65",             "rewind",       "input_set",    "correlated",  65, false, 0x758b983b0b0ee454},
@@ -245,6 +254,10 @@ const Cell kAdaptiveCells[] = {
     {"random_hierarchical_down_down_n256",        "hierarchical_down", "random", "down",        256, false, 0x82315684175f463},
     {"random_repetition_correlated_n256",         "repetition",        "random", "correlated",  256, false, 0xf2080e05a4b13d51},
     {"leader_repetition_correlated_n256",         "repetition",        "leader", "correlated",  256, false, 0x3cc9042c1a666a46},
+    {"leader_rewind_correlated_n256",             "rewind",            "leader", "correlated",  256, false, 0xafe20cb3fd8e0e39},
+    {"leader_hierarchical_correlated_n256",       "hierarchical",      "leader", "correlated",  256, false, 0x94dfeb9280f7b0c},
+    {"leader_rewind_down_down_n256",              "rewind_down",       "leader", "down",        256, false, 0xff04ab8a0d2eecda},
+    {"leader_hierarchical_down_down_n256",        "hierarchical_down", "leader", "down",        256, false, 0x70054fa29667a7de},
 };
 // clang-format on
 

@@ -5,6 +5,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -406,11 +407,25 @@ class SplitTailEngine : public RoundEngine {
     }
     return heard_;
   }
+  // It changes what parties hear, so it cannot share a round.
+  std::optional<bool> SharedRound(std::int64_t) override {
+    return std::nullopt;
+  }
 
  private:
   std::size_t word_len_;
   std::vector<std::uint64_t> heard_;
 };
+
+TEST(OwnerFindingDiff, SplitTailEngineDeclinesSharedRounds) {
+  const NoiselessChannel channel;
+  Rng rng(8);
+  SplitTailEngine engine(channel, rng, 70, 150);
+  const auto before = rng.SaveState();
+  EXPECT_FALSE(engine.SharedRound(1).has_value());
+  EXPECT_EQ(engine.rounds_used(), 0);
+  EXPECT_EQ(rng.SaveState(), before);
+}
 
 TEST(OwnerFindingDiff, PartiesAgreeingOnlyInTheFirstWordDecodeApart) {
   // Factor 30 at chunk 8 gives 150-bit codewords: the 86 bits past the

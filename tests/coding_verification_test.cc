@@ -3,17 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "channel/adversary.h"
+#include "channel/burst.h"
+#include "channel/collision.h"
 #include "channel/correlated.h"
 #include "channel/independent.h"
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
+#include "channel/shared_randomness.h"
+#include "channel/trace.h"
 #include "coding/chunk_sim.h"
 #include "coding/sim_common.h"
+#include "fault/fault_plan.h"
+#include "fault/injection.h"
 #include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
 #include "tasks/leader_election.h"
@@ -418,6 +428,239 @@ TEST(RepeatRound, MatchesAPerPartyCount) {
       EXPECT_EQ(fast.rounds_used(), reps);
     }
   }
+}
+
+// Forwards both of the engine's rounds to RoundEngine and counts them.  It
+// accepts at most `max_shared` shared rounds and declines every later one,
+// so max_shared = 0 makes RepeatRound count every repetition per party
+// from RoundWords, and a value in between switches paths within a call.
+class ProbeEngine final : public RoundEngine {
+ public:
+  ProbeEngine(const Channel& channel, Rng& rng, std::int64_t n,
+              std::int64_t max_shared =
+                  std::numeric_limits<std::int64_t>::max())
+      : RoundEngine(channel, rng, n), max_shared_(max_shared) {}
+
+  std::span<const std::uint64_t> RoundWords(
+      std::span<const std::uint64_t> beep_words) override {
+    ++word_rounds_;
+    return RoundEngine::RoundWords(beep_words);
+  }
+  std::optional<bool> SharedRound(std::int64_t num_beepers) override {
+    if (shared_rounds_ >= max_shared_) return std::nullopt;
+    const std::optional<bool> bit = RoundEngine::SharedRound(num_beepers);
+    if (bit.has_value()) ++shared_rounds_;
+    return bit;
+  }
+
+  [[nodiscard]] std::int64_t word_rounds() const { return word_rounds_; }
+  [[nodiscard]] std::int64_t shared_rounds() const { return shared_rounds_; }
+
+ private:
+  std::int64_t max_shared_;
+  std::int64_t word_rounds_ = 0;
+  std::int64_t shared_rounds_ = 0;
+};
+
+struct SharedChannelCase {
+  const char* name;
+  std::function<std::unique_ptr<Channel>()> make;
+};
+
+// Every shared-draw channel, each made fresh per engine: the burst
+// channel keeps its Markov state inside the channel object.
+std::vector<SharedChannelCase> SharedDrawChannels() {
+  return {
+      {"noiseless", [] { return std::make_unique<NoiselessChannel>(); }},
+      {"correlated",
+       [] { return std::make_unique<CorrelatedNoisyChannel>(0.3); }},
+      {"up", [] { return std::make_unique<OneSidedUpChannel>(0.3); }},
+      {"down", [] { return std::make_unique<OneSidedDownChannel>(0.3); }},
+      {"burst",
+       [] { return std::make_unique<BurstNoisyChannel>(0.05, 0.4, 0.2, 0.3); }},
+      {"collision",
+       [] { return std::make_unique<CollisionAsSilenceChannel>(0.2); }},
+      {"adversary",
+       [] {
+         return std::make_unique<AdversarialCorrectionChannel>(
+             0.3, CorrectionPolicy::kCorrectDrops);
+       }},
+      {"shared_randomness",
+       [] {
+         return std::make_unique<SharedRandomnessOneSidedAdapter>(
+             SharedRandomnessOneSidedAdapter::PaperInstance());
+       }},
+  };
+}
+
+// Beeps of `beepers` parties among n: none, the last one (in the tail word
+// when n is not a multiple of 64), or all of them.
+std::vector<std::uint64_t> BeepsOf(std::int64_t n, std::int64_t beepers) {
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
+  if (beepers == n) {
+    FillSharedWords(beeps, n, true);
+  } else if (beepers == 1) {
+    SetPackedBit(beeps, n - 1, true);
+  }
+  return beeps;
+}
+
+// A round every party hears alike is one bit: RepeatRound on a sharing
+// engine must decode, count and draw exactly what the per-party word path
+// does on a fresh copy of the same channel, without one RoundWords call.
+TEST(RepeatRound, SharedRoundsMatchTheWordPath) {
+  for (const SharedChannelCase& channel_case : SharedDrawChannels()) {
+    for (const std::int64_t n : {1, 63, 64, 65, 1024}) {
+      for (const std::int64_t beepers : {std::int64_t{0}, std::int64_t{1}, n}) {
+        const std::vector<std::uint64_t> beeps = BeepsOf(n, beepers);
+        for (const int reps : {1, 2, 5, 22, 41, 64}) {
+          for (const FlagRule rule : {FlagRule::kMajority, FlagRule::kAnyOne}) {
+            const std::string where =
+                std::string(channel_case.name) + " n=" + std::to_string(n) +
+                " beepers=" + std::to_string(beepers) +
+                " reps=" + std::to_string(reps) +
+                (rule == FlagRule::kMajority ? " majority" : " any-one");
+            const auto seed = static_cast<std::uint64_t>(n * 131 + reps);
+            const std::unique_ptr<Channel> shared_channel = channel_case.make();
+            const std::unique_ptr<Channel> word_channel = channel_case.make();
+            Rng shared_rng(seed);
+            Rng word_rng(seed);
+            ProbeEngine shared(*shared_channel, shared_rng, n);
+            ProbeEngine word(*word_channel, word_rng, n, /*max_shared=*/0);
+            // Three calls under two phases: the burst channel's state
+            // carries from call to call, and each phase counts its own.
+            for (const char* phase : {"chunk-sim", "chunk-sim", "flags"}) {
+              shared.SetPhase(phase);
+              word.SetPhase(phase);
+              ASSERT_EQ(RepeatRound(shared, beeps, reps, rule),
+                        RepeatRound(word, beeps, reps, rule))
+                  << where;
+            }
+            ASSERT_EQ(shared.rounds_used(), 3 * reps) << where;
+            ASSERT_EQ(shared.rounds_used(), word.rounds_used()) << where;
+            ASSERT_EQ(shared.phase_rounds(), word.phase_rounds()) << where;
+            ASSERT_EQ(shared_rng.SaveState(), word_rng.SaveState()) << where;
+            ASSERT_EQ(shared.word_rounds(), 0) << where;
+            ASSERT_EQ(shared.shared_rounds(), 3 * reps) << where;
+            ASSERT_EQ(word.word_rounds(), 3 * reps) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// An engine may decline partway through a call: the repetitions it shared
+// seed every party's count, and the rest are counted per party.
+TEST(RepeatRound, AnEngineThatStopsSharingMidCallMatchesTheWordPath) {
+  const int reps = 9;
+  for (const std::int64_t n : {1, 65, 130}) {
+    const std::vector<std::uint64_t> beeps = BeepsOf(n, 1);
+    for (const FlagRule rule : {FlagRule::kMajority, FlagRule::kAnyOne}) {
+      for (std::int64_t max_shared = 0; max_shared <= reps; ++max_shared) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+          const CorrelatedNoisyChannel channel(0.45);
+          Rng partial_rng(seed);
+          Rng word_rng(seed);
+          ProbeEngine partial(channel, partial_rng, n, max_shared);
+          ProbeEngine word(channel, word_rng, n, /*max_shared=*/0);
+          ASSERT_EQ(RepeatRound(partial, beeps, reps, rule),
+                    RepeatRound(word, beeps, reps, rule))
+              << "n=" << n << " max_shared=" << max_shared
+              << " seed=" << seed;
+          ASSERT_EQ(partial.shared_rounds(), max_shared);
+          ASSERT_EQ(partial.word_rounds(), reps - max_shared);
+          ASSERT_EQ(partial.rounds_used(), word.rounds_used());
+          ASSERT_EQ(partial_rng.SaveState(), word_rng.SaveState());
+        }
+      }
+    }
+  }
+}
+
+TEST(RepeatRound, SharedPathStillChecksTheBeepWords) {
+  const CorrelatedNoisyChannel channel(0.1);
+  Rng rng(1);
+  ProbeEngine engine(channel, rng, 65);
+  const auto before = rng.SaveState();
+  const std::vector<std::uint64_t> short_span(1, 0);
+  const std::vector<std::uint64_t> long_span(3, 0);
+  // Bit 1 of the last word is party 65; the parties are 0..64.
+  const std::vector<std::uint64_t> dirty_tail{0, std::uint64_t{1} << 1};
+  for (const auto* beeps : {&short_span, &long_span, &dirty_tail}) {
+    EXPECT_THROW((void)RepeatRound(engine, *beeps, 3, FlagRule::kMajority),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW((void)engine.SharedRound(-1), std::invalid_argument);
+  EXPECT_THROW((void)engine.SharedRound(66), std::invalid_argument);
+  EXPECT_EQ(engine.rounds_used(), 0);
+  EXPECT_EQ(rng.SaveState(), before);
+}
+
+// Declining means: no bit, no draw, no round counted.
+void ExpectDeclines(RoundEngine& engine, const Rng& rng,
+                    const std::string& where) {
+  const auto before = rng.SaveState();
+  EXPECT_FALSE(engine.SharedRound(1).has_value()) << where;
+  EXPECT_EQ(rng.SaveState(), before) << where;
+  EXPECT_EQ(engine.rounds_used(), 0) << where;
+  EXPECT_TRUE(engine.phase_rounds().empty()) << where;
+}
+
+TEST(SharedRound, EnginesThatCannotPromiseOneBitDecline) {
+  const std::int64_t n = 65;
+  const CorrelatedNoisyChannel correlated(0.1);
+  {
+    const IndependentNoisyChannel independent(0.1);
+    Rng rng(2);
+    RoundEngine engine(independent, rng, n);
+    ExpectDeclines(engine, rng, "independent");
+  }
+  {
+    // The trace wrappers forward is_correlated(), but each must see every
+    // delivery.
+    const RecordingChannel recording(correlated);
+    Rng rng(3);
+    RoundEngine engine(recording, rng, n);
+    ExpectDeclines(engine, rng, "recording");
+    ReplayChannel replay(recording.trace(), /*correlated=*/true);
+    RoundEngine replay_engine(replay, rng, n);
+    ExpectDeclines(replay_engine, rng, "replay");
+  }
+  // One spec that rewrites only a send bit, and one that rewrites only a
+  // received bit.
+  for (const char* plan : {"babble:5@0-3000:0.3", "deaf:2@0-3000"}) {
+    const FaultPlan faults = FaultPlan::Parse(plan, 11);
+    Rng rng(4);
+    FaultyRoundEngine engine(correlated, rng, n, faults);
+    ExpectDeclines(engine, rng, plan);
+  }
+  {
+    // An empty plan shares.
+    Rng rng(5);
+    FaultyRoundEngine engine(correlated, rng, n, FaultPlan());
+    EXPECT_TRUE(engine.SharedRound(1).has_value());
+    EXPECT_EQ(engine.rounds_used(), 1);
+  }
+}
+
+// A recording wrapper takes the word path, so its trace holds every
+// repetition, and the decoded bits equal the bare channel's shared ones.
+TEST(SharedRound, RecordingChannelSeesEveryRepetition) {
+  const std::int64_t n = 65;
+  const std::vector<std::uint64_t> beeps = BeepsOf(n, 1);
+  const CorrelatedNoisyChannel correlated(0.3);
+  const RecordingChannel recording(correlated);
+  Rng recorded_rng(6);
+  Rng bare_rng(6);
+  ProbeEngine recorded(recording, recorded_rng, n);
+  ProbeEngine bare(correlated, bare_rng, n);
+  EXPECT_EQ(RepeatRound(recorded, beeps, 7, FlagRule::kMajority),
+            RepeatRound(bare, beeps, 7, FlagRule::kMajority));
+  EXPECT_EQ(recording.trace().size(), 7u);
+  EXPECT_EQ(recorded.word_rounds(), 7);
+  EXPECT_EQ(bare.shared_rounds(), 7);
+  EXPECT_EQ(recorded_rng.SaveState(), bare_rng.SaveState());
 }
 
 // The tracker's packed overload compares party with party: at n = 65 an

@@ -15,10 +15,17 @@
 // later round: m + 1 BeepWords calls (round m's beeps were chosen on the
 // shared transcript) and n * (T - m - 1) ChooseBeep calls.  A loop that
 // keeps n transcripts from the start makes n * T ChooseBeep calls.
+//
+// The round engine.  RepeatRound runs each repetition as one
+// RoundEngine::SharedRound bit while the engine can promise every party
+// the same bit, and through RoundWords (O(n/64) per round) only when it
+// declines: on e2's shape every one of the T * reps rounds is a shared
+// round, on the independent channel none is.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +33,7 @@
 #include "coding/hierarchical_sim.h"
 #include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
+#include "coding/verification.h"
 #include "fault/fault_plan.h"
 #include "fault/injection.h"
 #include "service/workload.h"
@@ -257,6 +265,111 @@ TEST_P(SharedTranscriptCount, PartiesAreAskedOnlyAfterTheyDiverge) {
 INSTANTIATE_TEST_SUITE_P(
     Runners, SharedTranscriptCount, ::testing::ValuesIn(SharedCases()),
     [](const ::testing::TestParamInfo<SharedCase>& case_info) {
+      return case_info.param.name;
+    });
+
+// Forwards both of the engine's rounds to RoundEngine and counts the calls,
+// and the shared rounds it declined.
+class CountingEngine final : public RoundEngine {
+ public:
+  using RoundEngine::RoundEngine;
+
+  std::span<const std::uint64_t> RoundWords(
+      std::span<const std::uint64_t> beep_words) override {
+    ++round_words_calls_;
+    return RoundEngine::RoundWords(beep_words);
+  }
+  std::optional<bool> SharedRound(std::int64_t num_beepers) override {
+    ++shared_round_calls_;
+    const std::optional<bool> bit = RoundEngine::SharedRound(num_beepers);
+    if (!bit.has_value()) ++declined_;
+    return bit;
+  }
+
+  [[nodiscard]] std::int64_t round_words_calls() const {
+    return round_words_calls_;
+  }
+  [[nodiscard]] std::int64_t shared_round_calls() const {
+    return shared_round_calls_;
+  }
+  [[nodiscard]] std::int64_t declined() const { return declined_; }
+
+ private:
+  std::int64_t round_words_calls_ = 0;
+  std::int64_t shared_round_calls_ = 0;
+  std::int64_t declined_ = 0;
+};
+
+struct EngineCase {
+  std::string name;
+  const char* channel;
+  int n;
+  std::int64_t rounds;  // T * reps
+};
+
+std::ostream& operator<<(std::ostream& os, const EngineCase& c) {
+  return os << c.name;
+}
+
+class RepetitionRoundCount : public ::testing::TestWithParam<EngineCase> {};
+
+// Execute driven by RepeatRound, as RepetitionSimulator builds it, on a
+// counting engine; the simulator itself runs the same seed to show the
+// rebuilt loop is the simulator's.
+TEST_P(RepetitionRoundCount, SharedRoundsSkipTheWordPath) {
+  const EngineCase& c = GetParam();
+  const bool independent = std::string(c.channel) == "independent";
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel(c.channel, 0.05);
+  const RepetitionSimulator sim;
+  const int reps = sim.EffectiveRepFactor(c.n);
+
+  Rng sim_rng(7);
+  const service::Workload sim_workload =
+      service::MakeWorkload("input_set", c.n, sim_rng);
+  const SimulationResult expected =
+      sim.Simulate(*sim_workload.protocol, *channel, FaultPlan(), sim_rng);
+
+  Rng rng(7);
+  const service::Workload workload =
+      service::MakeWorkload("input_set", c.n, rng);
+  CountingEngine engine(*channel, rng, c.n);
+  engine.SetPhase("repetition");
+  std::vector<std::uint64_t> decoded;
+  const ExecutionResult run = Execute(
+      *workload.protocol, [&](std::span<const std::uint64_t> beeps) {
+        decoded = RepeatRound(engine, beeps, reps, FlagRule::kMajority);
+        return std::span<const std::uint64_t>(decoded);
+      });
+  ASSERT_EQ(run.transcripts, expected.transcripts);
+  ASSERT_EQ(engine.phase_rounds(), expected.phase_rounds);
+  ASSERT_EQ(rng.SaveState(), sim_rng.SaveState());
+
+  const std::int64_t rounds = c.rounds;
+  ASSERT_EQ(rounds, std::int64_t{workload.protocol->length()} * reps);
+  ASSERT_EQ(engine.rounds_used(), rounds);
+  if (independent) {
+    // Each RepeatRound call asks once, is declined, and runs every
+    // repetition through RoundWords.
+    EXPECT_EQ(engine.round_words_calls(), rounds);
+    EXPECT_EQ(engine.shared_round_calls(), workload.protocol->length());
+    EXPECT_EQ(engine.declined(), engine.shared_round_calls());
+  } else {
+    EXPECT_EQ(engine.round_words_calls(), 0);
+    EXPECT_EQ(engine.shared_round_calls(), rounds);
+    EXPECT_EQ(engine.declined(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Channels, RepetitionRoundCount,
+    ::testing::Values(
+        // e2_repetition's shape: 2,048 protocol rounds of 41 repetitions,
+        // 83,968 rounds per trial.
+        EngineCase{"correlated_n1024", "correlated", 1024, 83'968},
+        // 130 protocol rounds of 29 repetitions.
+        EngineCase{"independent_n65", "independent", 65, 3'770}),
+    [](const ::testing::TestParamInfo<EngineCase>& case_info) {
       return case_info.param.name;
     });
 
