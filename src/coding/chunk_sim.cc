@@ -1,7 +1,6 @@
 #include "coding/chunk_sim.h"
 
 #include "coding/owner_finding.h"
-#include "coding/verification.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -42,8 +41,8 @@ ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
       SetPackedBit(beeps, i, b);
       attempt.beeped[i].PushBack(b);
     }
-    const std::vector<std::uint64_t> decoded =
-        RepeatRound(engine, beeps, rep_factor, FlagRule::kMajority);
+    const std::span<const std::uint64_t> decoded =
+        engine.RepeatRound(beeps, rep_factor, FlagRule::kMajority);
     for (int i = 0; i < n; ++i) {
       const bool bit = PackedBit(decoded, i);
       attempt.candidate[i].PushBack(bit);

@@ -10,7 +10,6 @@ HierarchicalSimulator::HierarchicalSimulator(HierarchicalSimOptions options)
     : options_(options) {
   NB_REQUIRE(options_.audit_flag_base >= 0 && options_.audit_flag_slope >= 0,
              "negative audit parameter");
-  NB_REQUIRE(options_.max_level >= 1, "need at least one audit level");
 }
 
 SimulationResult HierarchicalSimulator::Simulate(const Protocol& protocol,
@@ -22,8 +21,7 @@ SimulationResult HierarchicalSimulator::Simulate(const Protocol& protocol,
   const internal::AuditSchedule audits{
       .base = options_.audit_flag_base > 0 ? options_.audit_flag_base
                                            : flat.EffectiveFlagReps(n),
-      .slope = options_.audit_flag_slope,
-      .max_level = options_.max_level};
+      .slope = options_.audit_flag_slope};
   const std::int64_t max_rounds =
       options_.base.max_rounds > 0
           ? options_.base.max_rounds

@@ -33,9 +33,6 @@ struct HierarchicalSimOptions {
   // audit_flag_slope (0 base => the flat scheme's default flag reps).
   int audit_flag_base = 0;
   int audit_flag_slope = 4;
-  // Levels above this never fire (2^max_level chunks is beyond any
-  // realistic run; this only bounds the escalation).
-  int max_level = 30;
 
   static HierarchicalSimOptions TwoSided() { return {}; }
   static HierarchicalSimOptions DownOnly() {

@@ -1,9 +1,5 @@
 #include "coding/repetition_sim.h"
 
-#include <span>
-#include <vector>
-
-#include "coding/verification.h"
 #include "fault/injection.h"
 #include "protocol/executor.h"
 #include "util/math.h"
@@ -36,12 +32,7 @@ SimulationResult RepetitionSimulator::Simulate(const Protocol& protocol,
   // Execute's loop, with each protocol round's beeps sent `reps` times
   // and majority-decoded: every party fixes its beep for logical round m
   // from its own reconstructed prefix (pure f_m^i).
-  std::vector<std::uint64_t> decoded;
-  ExecutionResult run =
-      Execute(protocol, [&](std::span<const std::uint64_t> beeps) {
-        decoded = RepeatRound(engine, beeps, reps, FlagRule::kMajority);
-        return std::span<const std::uint64_t>(decoded);
-      });
+  ExecutionResult run = Execute(protocol, engine, reps);
 
   SimulationResult result;
   result.transcripts = std::move(run.transcripts);

@@ -1,6 +1,7 @@
 #include "coding/sim_common.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <span>
 
@@ -228,8 +229,9 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
     ++commits;
     if (audits == nullptr) continue;
     // Escalating audits: a level-l audit after every 2^l-th commit.
-    for (int l = 1; l <= audits->max_level && commits % (1LL << l) == 0;
-         ++l) {
+    const int top_level =
+        std::countr_zero(static_cast<std::uint64_t>(commits));
+    for (int l = 1; l <= top_level; ++l) {
       start = static_cast<int>(Audit(state, engine, options,
                                      audits->base + l * audits->slope,
                                      tracker));

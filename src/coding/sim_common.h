@@ -55,7 +55,8 @@ class DivergenceTracker {
   }
 
   // Observes one bit per party, packed 64 per word (bit i of the words is
-  // party i's, as RepeatRound returns them), for `num_parties` parties.
+  // party i's, as RoundEngine::RepeatRound returns them), for
+  // `num_parties` parties.
   // Parties are compared with each other, not words: the tail bits past
   // num_parties are not read.
   void Observe(std::span<const std::uint64_t> packed,
@@ -113,14 +114,13 @@ struct CommitState {
     NoiseRegime regime);
 
 // The hierarchical scheme's audit schedule.  After the k-th commit it runs
-// a level-l audit for every l in [1, max_level] with 2^l dividing k; once
+// a level-l audit for every l >= 1 with 2^l dividing k; once
 // every chunk is committed, a final audit at level ceil(log2(max(k,2)))+2
 // gates termination.  A level-l audit uses base + l * slope flag
 // repetitions.
 struct AuditSchedule {
   int base = 0;
   int slope = 0;
-  int max_level = 0;
 };
 
 // The rewind-if-error chunk loop, with the chunk parameters `scheme`

@@ -1,9 +1,7 @@
 #include "coding/verification.h"
 
 #include <bit>
-#include <optional>
 
-#include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -76,80 +74,6 @@ std::size_t FirstViolation(const Protocol& protocol, int party_index,
   return transcript.size();
 }
 
-std::vector<std::uint64_t> RepeatRound(RoundEngine& engine,
-                                       std::span<const std::uint64_t> beeps,
-                                       int reps, FlagRule rule) {
-  NB_REQUIRE(reps >= 1, "repetitions must be positive");
-  const std::int64_t n = engine.num_parties();
-  const std::size_t words = WordsForParties(n);
-  // Checked here, not only in RoundWords: the shared path never reaches it.
-  engine.CheckBeepWords(beeps);
-  // A party decodes 1 iff its count of received 1s reaches the rule's
-  // threshold: half the repetitions rounded up for kMajority
-  // (2 * count >= reps), one for kAnyOne.
-  const unsigned threshold =
-      rule == FlagRule::kMajority ? static_cast<unsigned>(reps + 1) / 2 : 1;
-  std::vector<std::uint64_t> decoded(words, 0);
-
-  // Rounds every party hears alike are one bit each, so one scalar counts
-  // them for everyone.  The beeps are the same in every repetition: count
-  // the beepers once.
-  std::int64_t num_beepers = 0;
-  for (const std::uint64_t w : beeps) num_beepers += WordPopCount(w);
-  unsigned shared_ones = 0;
-  int t = 0;
-  for (; t < reps; ++t) {
-    const std::optional<bool> bit = engine.SharedRound(num_beepers);
-    if (!bit.has_value()) break;
-    shared_ones += *bit ? 1 : 0;
-  }
-  if (t == reps) {
-    FillSharedWords(decoded, n, shared_ones >= threshold);
-    return decoded;
-  }
-
-  // The engine declined: every party's count of received 1s, bit-sliced.
-  // Plane k holds bit k of the counts, 64 parties per word, so a round
-  // adds into all counts with a ripple carry over the planes instead of a
-  // loop over the parties.  The planes start at the shared rounds' count
-  // (tail lanes at zero); counts never exceed reps < 2^num_planes.
-  const int num_planes = std::bit_width(static_cast<unsigned>(reps));
-  std::vector<std::uint64_t> planes(words * num_planes, 0);
-  for (int k = 0; k < num_planes; ++k) {
-    FillSharedWords(std::span(planes).subspan(k * words, words), n,
-                    ((shared_ones >> k) & 1u) != 0);
-  }
-  for (; t < reps; ++t) {
-    const std::span<const std::uint64_t> received = engine.RoundWords(beeps);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t carry = received[w];
-      for (int k = 0; carry != 0 && k < num_planes; ++k) {
-        std::uint64_t& plane = planes[k * words + w];
-        const std::uint64_t next = plane & carry;
-        plane ^= carry;
-        carry = next;
-      }
-    }
-  }
-  // Compare 64 counts with the threshold at a time, from the top plane
-  // down.
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t greater = 0;
-    std::uint64_t equal = ~std::uint64_t{0};
-    for (int k = num_planes - 1; k >= 0; --k) {
-      const std::uint64_t count_bit = planes[k * words + w];
-      const std::uint64_t threshold_bit =
-          ((threshold >> k) & 1u) != 0 ? ~std::uint64_t{0} : 0;
-      greater |= equal & count_bit & ~threshold_bit;
-      equal &= ~(count_bit ^ threshold_bit);
-    }
-    // Tail lanes receive no 1s and every threshold is at least 1, so the
-    // tail bits decode to 0.
-    decoded[w] = greater | equal;
-  }
-  return decoded;
-}
-
 std::vector<std::uint64_t> CommunicateFlags(
     RoundEngine& engine, const std::vector<std::uint8_t>& flags, int reps,
     FlagRule rule) {
@@ -158,7 +82,9 @@ std::vector<std::uint64_t> CommunicateFlags(
   NB_REQUIRE(reps >= 1, "flag repetitions must be positive");
   std::vector<std::uint64_t> beeps(WordsForParties(engine.num_parties()), 0);
   PackBits(flags, beeps);
-  return RepeatRound(engine, beeps, reps, rule);
+  const std::span<const std::uint64_t> verdict =
+      engine.RepeatRound(beeps, reps, rule);
+  return {verdict.begin(), verdict.end()};
 }
 
 std::vector<std::size_t> BinarySearchVerifiedPrefix(

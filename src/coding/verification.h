@@ -20,6 +20,10 @@
 // then every 0 had all-silent beeps and every 1 had its owner beeping, so
 // the candidate equals the noiseless transcript continuation round for
 // round.
+//
+// A flag exchange is one RoundEngine::RepeatRound of the parties' flags;
+// the repetition code and its FlagRule live with the engine
+// (protocol/round_engine.h).
 #ifndef NOISYBEEPS_CODING_VERIFICATION_H_
 #define NOISYBEEPS_CODING_VERIFICATION_H_
 
@@ -35,12 +39,6 @@ namespace noisybeeps {
 enum class NoiseRegime {
   kTwoSided,  // 0->1 flips possible: verification needs owners
   kDownOnly,  // only 1->0 flips: received 1s are self-certifying
-};
-
-enum class FlagRule {
-  kMajority,  // decoded flag = majority of the repetitions (two-sided ML)
-  kAnyOne,    // decoded flag = 1 iff any repetition read 1 (exact under
-              // one-sided-down noise, where a received 1 is never spurious)
 };
 
 // The first round index m at which party `party_index` detects an
@@ -76,26 +74,10 @@ enum class FlagRule {
                                          NoiseRegime regime,
                                          std::size_t from = 0);
 
-// Runs `reps` noisy rounds of the same packed beeps (as for
-// RoundEngine::RoundWords) and returns each party's decoded bit under
-// `rule`, packed the same way (tail bits zero; read party i's with
-// PackedBit).  The repetition code of every repeated phase: chunk
-// simulation, the repetition simulator, and the flag exchanges below.
-// Each repetition is one RoundEngine::SharedRound bit, counted in one
-// scalar for every party, while the engine accepts it; once it declines,
-// the remaining repetitions run through RoundWords and are counted per
-// party, bit-sliced.  Either way the rounds, the draws and the result are
-// the same.
-// Preconditions: reps >= 1, beeps.size() == WordsForParties(
-// engine.num_parties()), and the unused tail bits of the last beep word
-// are zero.
-[[nodiscard]] std::vector<std::uint64_t> RepeatRound(
-    RoundEngine& engine, std::span<const std::uint64_t> beeps, int reps,
-    FlagRule rule);
-
 // One flag exchange: parties with flag != 0 beep in each of `reps` rounds;
-// returns each party's decoded verdict under `rule`, packed as RepeatRound
-// returns it.
+// returns each party's decoded verdict under `rule`, packed as
+// RoundEngine::RepeatRound returns it (tail bits zero; read party i's with
+// PackedBit).
 // Precondition: flags.size() == engine.num_parties(), reps >= 1.
 [[nodiscard]] std::vector<std::uint64_t> CommunicateFlags(
     RoundEngine& engine, const std::vector<std::uint8_t>& flags, int reps,

@@ -65,7 +65,7 @@ void FaultInjector::ApplyReceiveWords(std::int64_t round,
 FaultyRoundEngine::FaultyRoundEngine(const Channel& channel, Rng& rng,
                                      std::int64_t num_parties,
                                      const FaultPlan& plan)
-    : RoundEngine(channel, rng, num_parties),
+    : RoundEngine(channel, rng, num_parties, /*rewrites_bits=*/!plan.empty()),
       injector_(plan, num_parties),
       faulted_beep_words_(WordsForParties(num_parties), 0),
       faulted_received_words_(WordsForParties(num_parties), 0) {
@@ -88,11 +88,6 @@ std::span<const std::uint64_t> FaultyRoundEngine::RoundWords(
             faulted_received_words_.begin());
   injector_.ApplyReceiveWords(round, faulted_received_words_);
   return faulted_received_words_;
-}
-
-std::optional<bool> FaultyRoundEngine::SharedRound(std::int64_t num_beepers) {
-  if (injector_.active()) return std::nullopt;
-  return RoundEngine::SharedRound(num_beepers);
 }
 
 ExecutionResult Execute(const Protocol& protocol, const Channel& channel,

@@ -14,11 +14,13 @@
 //
 // FaultyRoundEngine is the injection point: a RoundEngine that applies the
 // plan around every noisy round, for the simulators and for direct
-// (uncoded) execution alike.  It overrides both of the engine's rounds:
-// RoundWords applies the plan, and SharedRound declines whenever the plan
-// has a spec, because a fault rewrites one party's bit and the parties no
-// longer hear alike.  With an empty plan both delegate straight to
-// RoundEngine -- the zero-fault no-op the golden test pins down.
+// (uncoded) execution alike.  It overrides RoundWords, the engine's one
+// virtual round.  A plan with a spec rewrites single parties' bits, so
+// the parties no longer hear alike: such an engine is constructed as
+// rewriting per-party bits and never shares a round, and RepeatRound runs
+// every repetition through the override.  With an empty plan every round
+// delegates straight to RoundEngine -- the zero-fault no-op the golden
+// test pins down.
 //
 // Overlapping specs compose in plan order: each active spec rewrites the
 // value in turn, so the LAST active spec for a (party, round) wins.  A
@@ -29,7 +31,6 @@
 #define NOISYBEEPS_FAULT_INJECTION_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,8 +79,6 @@ class FaultyRoundEngine final : public RoundEngine {
 
   std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words) override;
-  // Declines (nullopt, no draw, no round) whenever the plan has a spec.
-  std::optional<bool> SharedRound(std::int64_t num_beepers) override;
 
  private:
   FaultInjector injector_;

@@ -1,13 +1,17 @@
 #include "protocol/executor.h"
 
+#include <cstdint>
 #include <optional>
+#include <span>
 
 #include "util/require.h"
 
 namespace noisybeeps {
 
-ExecutionResult Execute(const Protocol& protocol,
-                        const RoundDelivery& deliver) {
+ExecutionResult Execute(const Protocol& protocol, RoundEngine& engine,
+                        int reps) {
+  NB_REQUIRE(engine.num_parties() == protocol.num_parties(),
+             "round engine sized for a different party count");
   const int n = protocol.num_parties();
   const int length = protocol.length();
   std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
@@ -20,7 +24,7 @@ ExecutionResult Execute(const Protocol& protocol,
   int m = 0;
   for (; m < length; ++m) {
     protocol.BeepWords(shared, beeps);
-    received = deliver(beeps);
+    received = engine.RepeatRound(beeps, reps, FlagRule::kMajority);
     const std::optional<bool> bit = SharedBit(received, n);
     if (!bit.has_value()) break;
     shared.PushBack(*bit);
@@ -44,7 +48,7 @@ ExecutionResult Execute(const Protocol& protocol,
         SetPackedBit(beeps, i,
                      protocol.party(i).ChooseBeep(result.transcripts[i]));
       }
-      received = deliver(beeps);
+      received = engine.RepeatRound(beeps, reps, FlagRule::kMajority);
     }
   }
 
@@ -54,14 +58,6 @@ ExecutionResult Execute(const Protocol& protocol,
         protocol.party(i).ComputeOutput(result.transcripts[i]));
   }
   return result;
-}
-
-ExecutionResult Execute(const Protocol& protocol, RoundEngine& engine) {
-  NB_REQUIRE(engine.num_parties() == protocol.num_parties(),
-             "round engine sized for a different party count");
-  return Execute(protocol, [&engine](std::span<const std::uint64_t> beeps) {
-    return engine.RoundWords(beeps);
-  });
 }
 
 ExecutionResult Execute(const Protocol& protocol, const Channel& channel,

@@ -15,12 +15,13 @@
 // its own by ChooseBeep.  Party purity makes the two phases the same
 // execution: rounds, rng draws and results do not depend on where the
 // switch happens.
+//
+// Each protocol round is one RoundEngine::RepeatRound of its beeps: one
+// noisy round by default, or `reps` majority-decoded repetitions, which is
+// the repetition simulator (coding/repetition_sim.h, footnote 1).
 #ifndef NOISYBEEPS_PROTOCOL_EXECUTOR_H_
 #define NOISYBEEPS_PROTOCOL_EXECUTOR_H_
 
-#include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "channel/channel.h"
@@ -42,24 +43,14 @@ struct ExecutionResult {
   [[nodiscard]] const BitString& shared() const { return transcripts.front(); }
 };
 
-// One protocol round's delivery: the packed beeps in (bit i of word w is
-// party w*64+i's, as for RoundEngine::RoundWords), each party's received
-// bit out, packed the same way in WordsForParties(n) words and valid until
-// the next call.
-using RoundDelivery = std::function<std::span<const std::uint64_t>(
-    std::span<const std::uint64_t>)>;
-
-// Runs `protocol` for its full length, one `deliver` call per protocol
-// round, sharing one transcript until the parties diverge (see above).
+// Runs `protocol` for its full length, one engine.RepeatRound of `reps`
+// noisy rounds per protocol round, majority-decoded (at reps = 1 each
+// party receives the round's bit): the engine's channel, rng and any
+// fault wrapping decide what each party receives.
+// Preconditions: engine.num_parties() == protocol.num_parties(),
+// reps >= 1.
 [[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
-                                      const RoundDelivery& deliver);
-
-// Runs `protocol` for its full length, one engine round per protocol
-// round: the engine's channel, rng and any fault wrapping decide what each
-// party receives.  Precondition: engine.num_parties() ==
-// protocol.num_parties().
-[[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
-                                      RoundEngine& engine);
+                                      RoundEngine& engine, int reps = 1);
 
 // Runs `protocol` for its full length over `channel`, in stream-compat
 // mode.

@@ -1,5 +1,7 @@
 #include "protocol/round_engine.h"
 
+#include <bit>
+
 #include "util/math.h"
 #include "util/require.h"
 
@@ -7,14 +9,21 @@ namespace noisybeeps {
 
 RoundEngine::RoundEngine(const Channel& channel, Rng& rng,
                          std::int64_t num_parties)
+    : RoundEngine(channel, rng, num_parties, /*rewrites_bits=*/false) {}
+
+RoundEngine::RoundEngine(const Channel& channel, Rng& rng,
+                         std::int64_t num_parties, bool rewrites_bits)
     : channel_(&channel),
       // By type, never by is_correlated(): a decorator that forwards
       // is_correlated() (RecordingChannel, ReplayChannel) must still see
       // every delivery, so it takes the word path.
-      shared_channel_(dynamic_cast<const SharedDrawChannel*>(&channel)),
+      shared_channel_(rewrites_bits
+                          ? nullptr
+                          : dynamic_cast<const SharedDrawChannel*>(&channel)),
       rng_(&rng),
       num_parties_(num_parties),
-      received_words_(WordsForParties(num_parties), 0) {
+      received_words_(WordsForParties(num_parties), 0),
+      decoded_(received_words_.size(), 0) {
   NB_REQUIRE(num_parties >= 1, "need at least one party");
 }
 
@@ -37,16 +46,68 @@ std::span<const std::uint64_t> RoundEngine::RoundWords(
   return received_words_;
 }
 
-std::optional<bool> RoundEngine::SharedRound(std::int64_t num_beepers) {
-  NB_REQUIRE(num_beepers >= 0 && num_beepers <= num_parties_,
-             "beeper count out of [0, num_parties]");
-  if (shared_channel_ == nullptr) return std::nullopt;
-  // SharedDrawChannel::DeliverWords fills every listener's bit from this
-  // same draw in either word mode, so the stream does not see the
-  // difference.
-  const bool bit = shared_channel_->SharedOutcome(num_beepers, *rng_);
-  CountRound();
-  return bit;
+std::span<const std::uint64_t> RoundEngine::RepeatRound(
+    std::span<const std::uint64_t> beeps, int reps, FlagRule rule) {
+  NB_REQUIRE(reps >= 1, "repetitions must be positive");
+  CheckBeepWords(beeps);
+  // A party decodes 1 iff its count of received 1s reaches the rule's
+  // threshold: half the repetitions rounded up for kMajority
+  // (2 * count >= reps), one for kAnyOne.
+  const unsigned threshold =
+      rule == FlagRule::kMajority ? static_cast<unsigned>(reps + 1) / 2 : 1;
+
+  if (shares_rounds()) {
+    // Every party hears each repetition alike, so one scalar counts them
+    // for everyone.  SharedDrawChannel::DeliverWords fills every
+    // listener's bit from this same draw in either word mode, so the
+    // stream does not see the difference.
+    std::int64_t num_beepers = 0;
+    for (const std::uint64_t w : beeps) num_beepers += WordPopCount(w);
+    unsigned ones = 0;
+    for (int t = 0; t < reps; ++t) {
+      ones += shared_channel_->SharedOutcome(num_beepers, *rng_) ? 1 : 0;
+      CountRound();
+    }
+    FillSharedWords(decoded_, num_parties_, ones >= threshold);
+    return decoded_;
+  }
+
+  // Every party's count of received 1s, bit-sliced.  Plane k holds bit k
+  // of the counts, 64 parties per word, so a round adds into all counts
+  // with a ripple carry over the planes instead of a loop over the
+  // parties.  Counts never exceed reps < 2^num_planes.
+  const std::size_t words = decoded_.size();
+  const int num_planes = std::bit_width(static_cast<unsigned>(reps));
+  planes_.assign(words * num_planes, 0);
+  for (int t = 0; t < reps; ++t) {
+    const std::span<const std::uint64_t> received = RoundWords(beeps);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t carry = received[w];
+      for (int k = 0; carry != 0 && k < num_planes; ++k) {
+        std::uint64_t& plane = planes_[k * words + w];
+        const std::uint64_t next = plane & carry;
+        plane ^= carry;
+        carry = next;
+      }
+    }
+  }
+  // Compare 64 counts with the threshold at a time, from the top plane
+  // down.
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t greater = 0;
+    std::uint64_t equal = ~std::uint64_t{0};
+    for (int k = num_planes - 1; k >= 0; --k) {
+      const std::uint64_t count_bit = planes_[k * words + w];
+      const std::uint64_t threshold_bit =
+          ((threshold >> k) & 1u) != 0 ? ~std::uint64_t{0} : 0;
+      greater |= equal & count_bit & ~threshold_bit;
+      equal &= ~(count_bit ^ threshold_bit);
+    }
+    // Tail lanes receive no 1s and every threshold is at least 1, so the
+    // tail bits decode to 0.
+    decoded_[w] = greater | equal;
+  }
+  return decoded_;
 }
 
 void RoundEngine::CountRound() {

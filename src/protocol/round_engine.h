@@ -14,16 +14,15 @@
 // Rounds are word-packed, 64 parties per u64 (see docs/PERFORMANCE.md);
 // Round is a byte-per-party adapter for tests and tooling.  Party counts
 // are std::int64_t: a round can carry millions of parties, beyond `int`.
-// SharedRound is the one-bit round for an engine whose every party is
-// certain to hear the same bit; the repeated phases (RepeatRound in
-// coding/verification.h) run through it and fall back to RoundWords
-// when the engine declines.
+// RepeatRound is the repetition code of every repeated phase.  Whether its
+// repetitions are one shared bit or a count per party is decided once, at
+// construction, from the channel and from whether a subclass rewrites
+// per-party bits.
 #ifndef NOISYBEEPS_PROTOCOL_ROUND_ENGINE_H_
 #define NOISYBEEPS_PROTOCOL_ROUND_ENGINE_H_
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,6 +30,13 @@
 #include "channel/channel.h"
 
 namespace noisybeeps {
+
+// How RepeatRound decodes a party's repetitions.
+enum class FlagRule {
+  kMajority,  // decoded flag = majority of the repetitions (two-sided ML)
+  kAnyOne,    // decoded flag = 1 iff any repetition read 1 (exact under
+              // one-sided-down noise, where a received 1 is never spurious)
+};
 
 class RoundEngine {
  public:
@@ -52,24 +58,35 @@ class RoundEngine {
   // can wrap the round boundary (send-side faults before the channel sees
   // the beeper count, receive-side faults after delivery) without the
   // simulators or the Channel implementations noticing.  A subclass that
-  // overrides RoundWords to change what parties hear must override
-  // SharedRound too (declining it, as FaultyRoundEngine does under a
-  // plan), or the repeated phases would skip its change.
+  // overrides RoundWords to change what parties hear constructs the engine
+  // as rewriting per-party bits (see the protected constructor).
   // Preconditions: beep_words.size() == WordsForParties(num_parties()),
   // and the unused tail bits of the last beep word are zero.
   virtual std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words);
 
-  // Runs one noisy round in which `num_beepers` parties beep and every
-  // party is certain to hear the same bit, and returns that bit: the
-  // channel's SharedOutcome, which is the draw RoundWords' delivery makes,
-  // counted under the current phase as RoundWords counts it.  The round
-  // costs O(1), not O(num_parties() / 64).  Returns nullopt, drawing
-  // nothing and counting no round, when the engine cannot promise one bit
-  // for everyone: its channel is not a SharedDrawChannel (the independent
-  // channel, the trace wrappers), or a subclass rewrites per-party bits.
-  // Precondition: 0 <= num_beepers <= num_parties().
-  virtual std::optional<bool> SharedRound(std::int64_t num_beepers);
+  // Runs `reps` noisy rounds of the same packed beeps and returns each
+  // party's decoded bit under `rule`, packed the same way (valid until the
+  // next call, tail bits zero).  The repetition code of every repeated
+  // phase: chunk simulation, Execute with reps > 1, and the flag exchanges
+  // of coding/verification.h.  When the engine shares rounds, each
+  // repetition is the channel's one SharedOutcome draw -- the draw
+  // RoundWords' delivery makes -- counted once for every party; otherwise
+  // each runs through RoundWords and every party's count of received 1s is
+  // kept bit-sliced.  Either way the rounds, the draws and the result are
+  // the same.
+  // Preconditions: reps >= 1, and beeps meets RoundWords' preconditions.
+  std::span<const std::uint64_t> RepeatRound(
+      std::span<const std::uint64_t> beeps, int reps, FlagRule rule);
+
+  // True when every party is certain to hear the same bit in every round,
+  // so RepeatRound costs O(1) per repetition, not O(num_parties() / 64):
+  // the channel is a SharedDrawChannel (not the independent channel or a
+  // trace wrapper), and the engine was not constructed as rewriting
+  // per-party bits.
+  [[nodiscard]] bool shares_rounds() const {
+    return shared_channel_ != nullptr;
+  }
 
   // Byte-per-party view of RoundWords: beeps[i] != 0 iff party i beeps;
   // returns the per-party received bits (0/1), valid until the next call.
@@ -81,7 +98,6 @@ class RoundEngine {
   // every simulator runs) consumes the rng draw-for-draw like the
   // historical byte path; kFast batches noise sampling (its own stream).
   void SetWordMode(WordMode mode) { word_mode_ = mode; }
-  [[nodiscard]] WordMode word_mode() const { return word_mode_; }
 
   // Total noisy rounds consumed so far.
   [[nodiscard]] std::int64_t rounds_used() const { return rounds_used_; }
@@ -98,9 +114,6 @@ class RoundEngine {
     phase_counter_ = nullptr;
   }
 
-  // The current phase label ("" before any SetPhase call).
-  [[nodiscard]] const std::string& phase() const { return phase_; }
-
   // Rounds consumed per phase label (rounds before any SetPhase call are
   // accounted under "").
   [[nodiscard]] const std::map<std::string, std::int64_t>& phase_rounds()
@@ -108,12 +121,15 @@ class RoundEngine {
     return phase_rounds_;
   }
 
-  [[nodiscard]] const Channel& channel() const { return *channel_; }
-  [[nodiscard]] Rng& rng() { return *rng_; }
+ protected:
+  // For a subclass whose RoundWords changes what parties hear: with
+  // `rewrites_bits` set, the engine never shares rounds, so RepeatRound
+  // sends every repetition through the override.
+  RoundEngine(const Channel& channel, Rng& rng, std::int64_t num_parties,
+              bool rewrites_bits);
 
   // Throws std::invalid_argument unless `beep_words` meets RoundWords'
-  // preconditions.  Wrappers call it before copying the span, and
-  // RepeatRound before it counts the beepers for SharedRound.
+  // preconditions.  Wrappers call it before copying the span.
   void CheckBeepWords(std::span<const std::uint64_t> beep_words) const;
 
  private:
@@ -121,13 +137,17 @@ class RoundEngine {
   void CountRound();
 
   const Channel* channel_;
-  // channel_ when it draws one outcome for every listener, else nullptr.
+  // channel_ when every party hears one outcome per round (shares_rounds),
+  // else nullptr.
   const SharedDrawChannel* shared_channel_;
   Rng* rng_;
   std::int64_t num_parties_;
   WordMode word_mode_ = WordMode::kStreamCompat;
   std::int64_t rounds_used_ = 0;
   std::vector<std::uint64_t> received_words_;
+  // RepeatRound's result, and its bit-sliced counts (sized per call).
+  std::vector<std::uint64_t> decoded_;
+  std::vector<std::uint64_t> planes_;
   // Round's packing buffers, sized on its first call.
   std::vector<std::uint64_t> beep_words_;
   std::vector<std::uint8_t> received_;

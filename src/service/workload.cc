@@ -311,7 +311,6 @@ JobResult JobResult::DecodePayload(std::string_view bytes) {
 JobResult RunJob(const JobSpec& spec, const JobExecution& exec) {
   ValidateJobSpec(spec);
   const FaultPlan faults = spec.ParsedFaultPlan();
-  const std::unique_ptr<Channel> channel = MakeChannel(spec.channel, spec.eps);
   const std::unique_ptr<Simulator> sim =
       MakeSimulator(spec.sim, spec.task, static_cast<int>(spec.n));
 
@@ -332,6 +331,12 @@ JobResult RunJob(const JobSpec& spec, const JobExecution& exec) {
 
   Rng rng(spec.seed);
   const auto body = [&](int, Rng& trial_rng) {
+    // One channel per trial: the burst channel keeps its hidden state in
+    // the channel object, and a trial's noise must depend on its own rng
+    // alone -- not on which trial ran before it, on which worker, or
+    // before a resume.
+    const std::unique_ptr<Channel> channel =
+        MakeChannel(spec.channel, spec.eps);
     const Workload workload =
         MakeWorkload(spec.task, static_cast<int>(spec.n), trial_rng);
     const SimulationResult result =

@@ -108,9 +108,6 @@ TEST(HierarchicalSim, RejectsBadOptions) {
   HierarchicalSimOptions bad;
   bad.audit_flag_slope = -1;
   EXPECT_THROW(HierarchicalSimulator{bad}, std::invalid_argument);
-  HierarchicalSimOptions bad2;
-  bad2.max_level = 0;
-  EXPECT_THROW(HierarchicalSimulator{bad2}, std::invalid_argument);
 }
 
 TEST(HierarchicalSim, NamesIdentifyPresets) {

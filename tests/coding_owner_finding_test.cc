@@ -5,7 +5,6 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 
@@ -388,12 +387,14 @@ TEST(OwnerFindingDiff, MatchesPerPartyReferenceAtE1Shape) {
 // Odd parties hear the complement of every codeword round past the first
 // 64, so their received words share the first packed word with the even
 // parties' and differ in every later one.  Assumes the engine runs only
-// the owner phase, whose iterations are word_len rounds each.
+// the owner phase, whose iterations are word_len rounds each.  It changes
+// what parties hear, so it is built as rewriting per-party bits.
 class SplitTailEngine : public RoundEngine {
  public:
   SplitTailEngine(const Channel& channel, Rng& rng, std::int64_t n,
                   std::size_t word_len)
-      : RoundEngine(channel, rng, n), word_len_(word_len) {}
+      : RoundEngine(channel, rng, n, /*rewrites_bits=*/true),
+        word_len_(word_len) {}
 
   std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words) override {
@@ -407,10 +408,6 @@ class SplitTailEngine : public RoundEngine {
     }
     return heard_;
   }
-  // It changes what parties hear, so it cannot share a round.
-  std::optional<bool> SharedRound(std::int64_t) override {
-    return std::nullopt;
-  }
 
  private:
   std::size_t word_len_;
@@ -420,11 +417,8 @@ class SplitTailEngine : public RoundEngine {
 TEST(OwnerFindingDiff, SplitTailEngineDeclinesSharedRounds) {
   const NoiselessChannel channel;
   Rng rng(8);
-  SplitTailEngine engine(channel, rng, 70, 150);
-  const auto before = rng.SaveState();
-  EXPECT_FALSE(engine.SharedRound(1).has_value());
-  EXPECT_EQ(engine.rounds_used(), 0);
-  EXPECT_EQ(rng.SaveState(), before);
+  const SplitTailEngine engine(channel, rng, 70, 150);
+  EXPECT_FALSE(engine.shares_rounds());
 }
 
 TEST(OwnerFindingDiff, PartiesAgreeingOnlyInTheFirstWordDecodeApart) {

@@ -5,6 +5,8 @@
 #include "channel/correlated.h"
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
+#include "service/job_spec.h"
+#include "service/workload.h"
 #include "tasks/adaptive_find.h"
 #include "tasks/bit_exchange.h"
 #include "tasks/input_set.h"
@@ -104,40 +106,59 @@ TEST(RewindSim, DownOnlyPresetRecoversUnderDownNoise) {
   EXPECT_GE(correct, kTrials - 1);
 }
 
+// Six trials at seed 1 on one worker, as `nbsim --trials=6 --seed=1
+// --workers=1` runs them.  The theorem-shape tests below pin what these
+// runs read; a fixed seed makes each a deterministic check, and each
+// tolerance is the band the paper's claim allows around that reading.
+service::JobResult SixTrials(const char* task, const char* channel,
+                             double eps, const char* sim, int n) {
+  service::JobSpec spec;
+  spec.task = task;
+  spec.channel = channel;
+  spec.eps = eps;
+  spec.sim = sim;
+  spec.n = n;
+  spec.trials = 6;
+  spec.seed = 1;
+  service::JobExecution exec;
+  exec.num_workers = 1;
+  return service::RunJob(spec, exec);
+}
+
 TEST(RewindSim, DownOnlyOverheadIsConstantInN) {
-  // The Section 2 asymmetry: the down-only preset's blowup must not grow
-  // with n (compare 8 vs 128 parties).
-  Rng rng(46);
-  const OneSidedDownChannel channel(0.1);
-  const RewindSimulator sim(RewindSimOptions::DownOnly());
-  std::vector<double> overhead;
-  for (int n : {8, 128}) {
-    const InputSetInstance instance = SampleInputSet(n, rng);
-    const auto protocol = MakeInputSetProtocol(instance);
-    const SimulationResult result = sim.Simulate(*protocol, channel, rng);
-    EXPECT_TRUE(result.AllMatch(ReferenceTranscript(*protocol))) << n;
-    overhead.push_back(static_cast<double>(result.noisy_rounds_used) /
-                       protocol->length());
+  // E3, the Section 2 asymmetry: under 1->0 noise the down-only preset's
+  // blowup does not grow with n.  It read 2.03-2.44 on InputSet and
+  // 2.20-2.64 on BitExchange over n = 8..128 (down eps = 0.10).
+  for (const char* task : {"input_set", "bit_exchange"}) {
+    for (const int n : {8, 16, 32, 64, 128}) {
+      const service::JobResult run =
+          SixTrials(task, "down", 0.10, "rewind_down", n);
+      EXPECT_EQ(run.successes, run.trials) << task << " n=" << n;
+      // Flat: every n within [2, 3], where log2(n) itself goes 3 -> 7.
+      EXPECT_GE(run.mean_blowup, 2.0) << task << " n=" << n;
+      EXPECT_LE(run.mean_blowup, 3.0) << task << " n=" << n;
+    }
   }
-  // Allow slack, but the 16x larger instance must not cost log-fold more.
-  EXPECT_LT(overhead[1], overhead[0] * 1.5 + 1.0);
 }
 
 TEST(RewindSim, TwoSidedOverheadIsLogarithmic) {
-  Rng rng(47);
-  const CorrelatedNoisyChannel channel(0.05);
-  const RewindSimulator sim;
-  for (int n : {8, 64}) {
-    const InputSetInstance instance = SampleInputSet(n, rng);
-    const auto protocol = MakeInputSetProtocol(instance);
-    const SimulationResult result = sim.Simulate(*protocol, channel, rng);
-    EXPECT_TRUE(result.AllMatch(ReferenceTranscript(*protocol)));
-    const double overhead =
-        static_cast<double>(result.noisy_rounds_used) / protocol->length();
-    const double log_n = CeilLog2(static_cast<std::uint64_t>(n));
-    // Overhead should be within a constant band of log2(n).
-    EXPECT_GT(overhead, log_n * 0.5);
-    EXPECT_LT(overhead, log_n * 40.0);
+  // E1, Theorem 1.2: under correlated noise the blowup is O(log n).
+  // blowup / log2(n) read 24.17, 21.62, 20.18 and 19.25 at n = 8, 16, 32
+  // and 64 (correlated eps = 0.05), as in EXPERIMENTS.md: every chunk
+  // commits first time.
+  double previous = 25.0;
+  for (const int n : {8, 16, 32, 64}) {
+    const service::JobResult run =
+        SixTrials("input_set", "correlated", 0.05, "rewind", n);
+    EXPECT_EQ(run.successes, run.trials) << "n=" << n;  // 100 % success
+    const double per_log_n =
+        run.mean_blowup / CeilLog2(static_cast<std::uint64_t>(n));
+    // At most 25 at n = 8, and no larger at any larger n: no slack.
+    EXPECT_LE(per_log_n, previous) << "n=" << n;
+    // At least 3: chunk simulation alone repeats every round
+    // 3 * log2(n) + 1 times.
+    EXPECT_GE(per_log_n, 3.0) << "n=" << n;
+    previous = per_log_n;
   }
 }
 

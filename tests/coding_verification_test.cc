@@ -4,9 +4,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -392,10 +390,42 @@ TEST(CommunicateFlags, AnyOneRuleIsExactUnderDownNoise) {
   EXPECT_GE(heard, 198);
 }
 
+// RepeatRound's result, copied: the span is valid only until its next
+// call.
+std::vector<std::uint64_t> Repeated(RoundEngine& engine,
+                                    std::span<const std::uint64_t> beeps,
+                                    int reps, FlagRule rule) {
+  const std::span<const std::uint64_t> decoded =
+      engine.RepeatRound(beeps, reps, rule);
+  return {decoded.begin(), decoded.end()};
+}
+
+// The reference for RepeatRound: `reps` RoundWords calls on `engine`, each
+// party's received 1s counted one by one and decoded under `rule`.
+std::vector<std::uint64_t> CountPerParty(RoundEngine& engine,
+                                         std::span<const std::uint64_t> beeps,
+                                         int reps, FlagRule rule) {
+  const std::int64_t n = engine.num_parties();
+  std::vector<int> ones(static_cast<std::size_t>(n), 0);
+  for (int t = 0; t < reps; ++t) {
+    const auto received = engine.RoundWords(beeps);
+    for (std::int64_t i = 0; i < n; ++i) {
+      ones[static_cast<std::size_t>(i)] += PackedBit(received, i);
+    }
+  }
+  std::vector<std::uint64_t> decoded(WordsForParties(n), 0);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const int count = ones[static_cast<std::size_t>(i)];
+    SetPackedBit(decoded, i,
+                 rule == FlagRule::kMajority ? 2 * count >= reps : count > 0);
+  }
+  return decoded;
+}
+
 // RepeatRound counts bit-sliced, 64 parties per word; it must decode
-// exactly what a per-party count of the same rounds decodes, under both
-// rules, for repetition counts on both sides of every power of two and a
-// party count that straddles a word boundary.
+// exactly what a per-party count of the same rounds decodes (tail bits
+// zero), under both rules, for repetition counts on both sides of every
+// power of two and a party count that straddles a word boundary.
 TEST(RepeatRound, MatchesAPerPartyCount) {
   const IndependentNoisyChannel channel(0.3);
   const std::int64_t n = 130;
@@ -407,59 +437,37 @@ TEST(RepeatRound, MatchesAPerPartyCount) {
       Rng ref_rng(static_cast<std::uint64_t>(reps));
       RoundEngine fast(channel, fast_rng, n);
       RoundEngine ref(channel, ref_rng, n);
-      const std::vector<std::uint64_t> decoded =
-          RepeatRound(fast, beeps, reps, rule);
-      ASSERT_EQ(decoded.size(), beeps.size());
-      ASSERT_EQ(decoded.back() & ~TailWordMask(n), 0u) << "reps=" << reps;
-      std::vector<int> ones(static_cast<std::size_t>(n), 0);
-      for (int t = 0; t < reps; ++t) {
-        const auto received = ref.RoundWords(beeps);
-        for (std::int64_t i = 0; i < n; ++i) {
-          ones[static_cast<std::size_t>(i)] += PackedBit(received, i);
-        }
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const int count = ones[static_cast<std::size_t>(i)];
-        const bool expected =
-            rule == FlagRule::kMajority ? 2 * count >= reps : count > 0;
-        ASSERT_EQ(PackedBit(decoded, i), expected)
-            << "reps=" << reps << " party=" << i;
-      }
+      ASSERT_EQ(Repeated(fast, beeps, reps, rule),
+                CountPerParty(ref, beeps, reps, rule))
+          << "reps=" << reps;
       EXPECT_EQ(fast.rounds_used(), reps);
     }
   }
 }
 
-// Forwards both of the engine's rounds to RoundEngine and counts them.  It
-// accepts at most `max_shared` shared rounds and declines every later one,
-// so max_shared = 0 makes RepeatRound count every repetition per party
-// from RoundWords, and a value in between switches paths within a call.
+// Forwards RoundWords to RoundEngine and counts the calls; the rounds it
+// ran as one shared bit are the rest.  Built as rewriting per-party bits,
+// it never shares, so RepeatRound counts every repetition per party from
+// RoundWords: the word path a sharing engine must match.
 class ProbeEngine final : public RoundEngine {
  public:
   ProbeEngine(const Channel& channel, Rng& rng, std::int64_t n,
-              std::int64_t max_shared =
-                  std::numeric_limits<std::int64_t>::max())
-      : RoundEngine(channel, rng, n), max_shared_(max_shared) {}
+              bool rewrites_bits = false)
+      : RoundEngine(channel, rng, n, rewrites_bits) {}
 
   std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words) override {
     ++word_rounds_;
     return RoundEngine::RoundWords(beep_words);
   }
-  std::optional<bool> SharedRound(std::int64_t num_beepers) override {
-    if (shared_rounds_ >= max_shared_) return std::nullopt;
-    const std::optional<bool> bit = RoundEngine::SharedRound(num_beepers);
-    if (bit.has_value()) ++shared_rounds_;
-    return bit;
-  }
 
   [[nodiscard]] std::int64_t word_rounds() const { return word_rounds_; }
-  [[nodiscard]] std::int64_t shared_rounds() const { return shared_rounds_; }
+  [[nodiscard]] std::int64_t shared_rounds() const {
+    return rounds_used() - word_rounds_;
+  }
 
  private:
-  std::int64_t max_shared_;
   std::int64_t word_rounds_ = 0;
-  std::int64_t shared_rounds_ = 0;
 };
 
 struct SharedChannelCase {
@@ -526,14 +534,16 @@ TEST(RepeatRound, SharedRoundsMatchTheWordPath) {
             Rng shared_rng(seed);
             Rng word_rng(seed);
             ProbeEngine shared(*shared_channel, shared_rng, n);
-            ProbeEngine word(*word_channel, word_rng, n, /*max_shared=*/0);
+            ProbeEngine word(*word_channel, word_rng, n,
+                             /*rewrites_bits=*/true);
+            ASSERT_TRUE(shared.shares_rounds()) << where;
             // Three calls under two phases: the burst channel's state
             // carries from call to call, and each phase counts its own.
             for (const char* phase : {"chunk-sim", "chunk-sim", "flags"}) {
               shared.SetPhase(phase);
               word.SetPhase(phase);
-              ASSERT_EQ(RepeatRound(shared, beeps, reps, rule),
-                        RepeatRound(word, beeps, reps, rule))
+              ASSERT_EQ(Repeated(shared, beeps, reps, rule),
+                        Repeated(word, beeps, reps, rule))
                   << where;
             }
             ASSERT_EQ(shared.rounds_used(), 3 * reps) << where;
@@ -550,97 +560,89 @@ TEST(RepeatRound, SharedRoundsMatchTheWordPath) {
   }
 }
 
-// An engine may decline partway through a call: the repetitions it shared
-// seed every party's count, and the rest are counted per party.
-TEST(RepeatRound, AnEngineThatStopsSharingMidCallMatchesTheWordPath) {
-  const int reps = 9;
-  for (const std::int64_t n : {1, 65, 130}) {
-    const std::vector<std::uint64_t> beeps = BeepsOf(n, 1);
-    for (const FlagRule rule : {FlagRule::kMajority, FlagRule::kAnyOne}) {
-      for (std::int64_t max_shared = 0; max_shared <= reps; ++max_shared) {
-        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-          const CorrelatedNoisyChannel channel(0.45);
-          Rng partial_rng(seed);
-          Rng word_rng(seed);
-          ProbeEngine partial(channel, partial_rng, n, max_shared);
-          ProbeEngine word(channel, word_rng, n, /*max_shared=*/0);
-          ASSERT_EQ(RepeatRound(partial, beeps, reps, rule),
-                    RepeatRound(word, beeps, reps, rule))
-              << "n=" << n << " max_shared=" << max_shared
-              << " seed=" << seed;
-          ASSERT_EQ(partial.shared_rounds(), max_shared);
-          ASSERT_EQ(partial.word_rounds(), reps - max_shared);
-          ASSERT_EQ(partial.rounds_used(), word.rounds_used());
-          ASSERT_EQ(partial_rng.SaveState(), word_rng.SaveState());
-        }
-      }
-    }
-  }
-}
-
 TEST(RepeatRound, SharedPathStillChecksTheBeepWords) {
   const CorrelatedNoisyChannel channel(0.1);
   Rng rng(1);
-  ProbeEngine engine(channel, rng, 65);
+  RoundEngine engine(channel, rng, 65);
+  ASSERT_TRUE(engine.shares_rounds());
   const auto before = rng.SaveState();
   const std::vector<std::uint64_t> short_span(1, 0);
   const std::vector<std::uint64_t> long_span(3, 0);
   // Bit 1 of the last word is party 65; the parties are 0..64.
   const std::vector<std::uint64_t> dirty_tail{0, std::uint64_t{1} << 1};
   for (const auto* beeps : {&short_span, &long_span, &dirty_tail}) {
-    EXPECT_THROW((void)RepeatRound(engine, *beeps, 3, FlagRule::kMajority),
+    EXPECT_THROW((void)engine.RepeatRound(*beeps, 3, FlagRule::kMajority),
                  std::invalid_argument);
   }
-  EXPECT_THROW((void)engine.SharedRound(-1), std::invalid_argument);
-  EXPECT_THROW((void)engine.SharedRound(66), std::invalid_argument);
   EXPECT_EQ(engine.rounds_used(), 0);
   EXPECT_EQ(rng.SaveState(), before);
 }
 
-// Declining means: no bit, no draw, no round counted.
-void ExpectDeclines(RoundEngine& engine, const Rng& rng,
-                    const std::string& where) {
-  const auto before = rng.SaveState();
-  EXPECT_FALSE(engine.SharedRound(1).has_value()) << where;
-  EXPECT_EQ(rng.SaveState(), before) << where;
-  EXPECT_EQ(engine.rounds_used(), 0) << where;
-  EXPECT_TRUE(engine.phase_rounds().empty()) << where;
+// An engine that cannot promise every party one bit runs each repetition
+// through RoundWords: RepeatRound must decode, draw and count exactly what
+// a per-party count of `reps` RoundWords calls gives on a twin engine, for
+// a silent round and a round with one beeper.
+void ExpectWordPath(RoundEngine& engine, const Rng& rng, RoundEngine& twin,
+                    const Rng& twin_rng, const std::string& where) {
+  EXPECT_FALSE(engine.shares_rounds()) << where;
+  const int reps = 5;
+  engine.SetPhase("flags");
+  twin.SetPhase("flags");
+  for (const std::int64_t beepers : {0, 1}) {
+    const std::vector<std::uint64_t> beeps =
+        BeepsOf(engine.num_parties(), beepers);
+    EXPECT_EQ(Repeated(engine, beeps, reps, FlagRule::kMajority),
+              CountPerParty(twin, beeps, reps, FlagRule::kMajority))
+        << where << " beepers=" << beepers;
+  }
+  EXPECT_EQ(engine.rounds_used(), 2 * reps) << where;
+  EXPECT_EQ(engine.phase_rounds(), twin.phase_rounds()) << where;
+  EXPECT_EQ(rng.SaveState(), twin_rng.SaveState()) << where;
 }
 
 TEST(SharedRound, EnginesThatCannotPromiseOneBitDecline) {
   const std::int64_t n = 65;
-  const CorrelatedNoisyChannel correlated(0.1);
+  const CorrelatedNoisyChannel correlated(0.3);
   {
-    const IndependentNoisyChannel independent(0.1);
+    const IndependentNoisyChannel independent(0.3);
     Rng rng(2);
+    Rng twin_rng(2);
     RoundEngine engine(independent, rng, n);
-    ExpectDeclines(engine, rng, "independent");
+    RoundEngine twin(independent, twin_rng, n);
+    ExpectWordPath(engine, rng, twin, twin_rng, "independent");
   }
   {
     // The trace wrappers forward is_correlated(), but each must see every
     // delivery.
     const RecordingChannel recording(correlated);
+    const RecordingChannel twin_recording(correlated);
     Rng rng(3);
+    Rng twin_rng(3);
     RoundEngine engine(recording, rng, n);
-    ExpectDeclines(engine, rng, "recording");
-    ReplayChannel replay(recording.trace(), /*correlated=*/true);
+    RoundEngine twin(twin_recording, twin_rng, n);
+    ExpectWordPath(engine, rng, twin, twin_rng, "recording");
+    EXPECT_EQ(recording.trace().size(), 10u);
+    const ReplayChannel replay(recording.trace(), /*correlated=*/true);
+    const ReplayChannel twin_replay(recording.trace(), /*correlated=*/true);
     RoundEngine replay_engine(replay, rng, n);
-    ExpectDeclines(replay_engine, rng, "replay");
+    RoundEngine replay_twin(twin_replay, twin_rng, n);
+    ExpectWordPath(replay_engine, rng, replay_twin, twin_rng, "replay");
   }
   // One spec that rewrites only a send bit, and one that rewrites only a
   // received bit.
   for (const char* plan : {"babble:5@0-3000:0.3", "deaf:2@0-3000"}) {
     const FaultPlan faults = FaultPlan::Parse(plan, 11);
     Rng rng(4);
+    Rng twin_rng(4);
     FaultyRoundEngine engine(correlated, rng, n, faults);
-    ExpectDeclines(engine, rng, plan);
+    FaultyRoundEngine twin(correlated, twin_rng, n, faults);
+    ExpectWordPath(engine, rng, twin, twin_rng, plan);
   }
   {
     // An empty plan shares.
     Rng rng(5);
-    FaultyRoundEngine engine(correlated, rng, n, FaultPlan());
-    EXPECT_TRUE(engine.SharedRound(1).has_value());
-    EXPECT_EQ(engine.rounds_used(), 1);
+    const FaultyRoundEngine engine(correlated, rng, n, FaultPlan());
+    EXPECT_TRUE(engine.shares_rounds());
   }
 }
 
@@ -655,8 +657,8 @@ TEST(SharedRound, RecordingChannelSeesEveryRepetition) {
   Rng bare_rng(6);
   ProbeEngine recorded(recording, recorded_rng, n);
   ProbeEngine bare(correlated, bare_rng, n);
-  EXPECT_EQ(RepeatRound(recorded, beeps, 7, FlagRule::kMajority),
-            RepeatRound(bare, beeps, 7, FlagRule::kMajority));
+  EXPECT_EQ(Repeated(recorded, beeps, 7, FlagRule::kMajority),
+            Repeated(bare, beeps, 7, FlagRule::kMajority));
   EXPECT_EQ(recording.trace().size(), 7u);
   EXPECT_EQ(recorded.word_rounds(), 7);
   EXPECT_EQ(bare.shared_rounds(), 7);

@@ -16,16 +16,14 @@
 // shared transcript) and n * (T - m - 1) ChooseBeep calls.  A loop that
 // keeps n transcripts from the start makes n * T ChooseBeep calls.
 //
-// The round engine.  RepeatRound runs each repetition as one
-// RoundEngine::SharedRound bit while the engine can promise every party
-// the same bit, and through RoundWords (O(n/64) per round) only when it
-// declines: on e2's shape every one of the T * reps rounds is a shared
-// round, on the independent channel none is.
+// The round engine.  RoundEngine::RepeatRound runs each repetition as one
+// shared bit when the engine shares rounds, and through RoundWords
+// (O(n/64) per round) otherwise: on e2's shape every one of the T * reps
+// rounds is a shared round, on the independent channel none is.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,7 +31,6 @@
 #include "coding/hierarchical_sim.h"
 #include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
-#include "coding/verification.h"
 #include "fault/fault_plan.h"
 #include "fault/injection.h"
 #include "service/workload.h"
@@ -268,36 +265,26 @@ INSTANTIATE_TEST_SUITE_P(
       return case_info.param.name;
     });
 
-// Forwards both of the engine's rounds to RoundEngine and counts the calls,
-// and the shared rounds it declined.
+// Forwards RoundWords to RoundEngine and counts the calls; the rounds it
+// ran as one shared bit are the rest.  Counting changes nothing a party
+// hears, so it shares rounds whenever a plain engine would.
 class CountingEngine final : public RoundEngine {
  public:
-  using RoundEngine::RoundEngine;
+  CountingEngine(const Channel& channel, Rng& rng, std::int64_t n)
+      : RoundEngine(channel, rng, n, /*rewrites_bits=*/false) {}
 
   std::span<const std::uint64_t> RoundWords(
       std::span<const std::uint64_t> beep_words) override {
     ++round_words_calls_;
     return RoundEngine::RoundWords(beep_words);
   }
-  std::optional<bool> SharedRound(std::int64_t num_beepers) override {
-    ++shared_round_calls_;
-    const std::optional<bool> bit = RoundEngine::SharedRound(num_beepers);
-    if (!bit.has_value()) ++declined_;
-    return bit;
-  }
 
   [[nodiscard]] std::int64_t round_words_calls() const {
     return round_words_calls_;
   }
-  [[nodiscard]] std::int64_t shared_round_calls() const {
-    return shared_round_calls_;
-  }
-  [[nodiscard]] std::int64_t declined() const { return declined_; }
 
  private:
   std::int64_t round_words_calls_ = 0;
-  std::int64_t shared_round_calls_ = 0;
-  std::int64_t declined_ = 0;
 };
 
 struct EngineCase {
@@ -313,9 +300,9 @@ std::ostream& operator<<(std::ostream& os, const EngineCase& c) {
 
 class RepetitionRoundCount : public ::testing::TestWithParam<EngineCase> {};
 
-// Execute driven by RepeatRound, as RepetitionSimulator builds it, on a
-// counting engine; the simulator itself runs the same seed to show the
-// rebuilt loop is the simulator's.
+// Execute with the simulator's repetitions, as RepetitionSimulator runs
+// it, on a counting engine; the simulator itself runs the same seed to
+// show the rebuilt loop is the simulator's.
 TEST_P(RepetitionRoundCount, SharedRoundsSkipTheWordPath) {
   const EngineCase& c = GetParam();
   const bool independent = std::string(c.channel) == "independent";
@@ -335,12 +322,7 @@ TEST_P(RepetitionRoundCount, SharedRoundsSkipTheWordPath) {
       service::MakeWorkload("input_set", c.n, rng);
   CountingEngine engine(*channel, rng, c.n);
   engine.SetPhase("repetition");
-  std::vector<std::uint64_t> decoded;
-  const ExecutionResult run = Execute(
-      *workload.protocol, [&](std::span<const std::uint64_t> beeps) {
-        decoded = RepeatRound(engine, beeps, reps, FlagRule::kMajority);
-        return std::span<const std::uint64_t>(decoded);
-      });
+  const ExecutionResult run = Execute(*workload.protocol, engine, reps);
   ASSERT_EQ(run.transcripts, expected.transcripts);
   ASSERT_EQ(engine.phase_rounds(), expected.phase_rounds);
   ASSERT_EQ(rng.SaveState(), sim_rng.SaveState());
@@ -348,17 +330,10 @@ TEST_P(RepetitionRoundCount, SharedRoundsSkipTheWordPath) {
   const std::int64_t rounds = c.rounds;
   ASSERT_EQ(rounds, std::int64_t{workload.protocol->length()} * reps);
   ASSERT_EQ(engine.rounds_used(), rounds);
-  if (independent) {
-    // Each RepeatRound call asks once, is declined, and runs every
-    // repetition through RoundWords.
-    EXPECT_EQ(engine.round_words_calls(), rounds);
-    EXPECT_EQ(engine.shared_round_calls(), workload.protocol->length());
-    EXPECT_EQ(engine.declined(), engine.shared_round_calls());
-  } else {
-    EXPECT_EQ(engine.round_words_calls(), 0);
-    EXPECT_EQ(engine.shared_round_calls(), rounds);
-    EXPECT_EQ(engine.declined(), 0);
-  }
+  // The independent channel cannot share a round: every repetition runs
+  // through RoundWords.
+  EXPECT_EQ(engine.shares_rounds(), !independent);
+  EXPECT_EQ(engine.round_words_calls(), independent ? rounds : 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,10 +4,12 @@
 // checkpoint resume guard, so a chaos run can never silently resume from
 // an incompatible clean-run checkpoint -- the mismatch regression at the
 // bottom drives RunJob end-to-end to prove the refusal is real, not just
-// a different number.
+// a different number.  The burst test at the bottom holds RunJob's
+// schedule-independence on a channel that keeps state.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -217,6 +219,51 @@ TEST(JobSpecResume, FailSeedMismatchAloneRefusesTheCheckpoint) {
   reseeded.fail_seed = 2;  // same plan text, different corruption stream
   exec.halt_after_checkpoints = 0;
   EXPECT_THROW((void)RunJob(reseeded, exec), resilience::CheckpointError);
+  RemoveCheckpointDebris(path);
+}
+
+// The burst channel keeps its hidden state in the channel object.  Each
+// trial gets its own channel, so a trial's noise depends on its own rng
+// alone: the same fingerprint at any worker count, and from a run halted
+// after every checkpoint and resumed each time, as RunJob promises.  The
+// raw simulator (one round per protocol round) lets every flip reach the
+// result, so a trial that inherited a burst from the trial before it
+// would show.
+TEST(JobSpecResume, BurstChannelTrialsAreIndependentOfTheSchedule) {
+  JobSpec spec = FastSpec();
+  spec.channel = "burst";
+  spec.sim = "raw";
+  spec.n = 16;
+  spec.eps = 0.1;
+  spec.trials = 64;
+  spec.seed = 3;
+  JobExecution serial;
+  serial.num_workers = 1;
+  const JobResult baseline = RunJob(spec, serial);
+
+  JobExecution parallel;
+  parallel.num_workers = 4;
+  EXPECT_EQ(RunJob(spec, parallel).results_fingerprint,
+            baseline.results_fingerprint);
+
+  const std::string path = TempPath("spec_burst_resume.nbckpt");
+  RemoveCheckpointDebris(path);
+  JobExecution exec;
+  exec.checkpoint_path = path;
+  exec.checkpoint_every = 8;
+  exec.halt_after_checkpoints = 1;
+  exec.num_workers = 1;
+  int halts = 0;
+  std::optional<JobResult> resumed;
+  while (!resumed.has_value()) {
+    try {
+      resumed = RunJob(spec, exec);
+    } catch (const resilience::RunInterrupted&) {
+      ++halts;
+    }
+  }
+  EXPECT_EQ(halts, 7);
+  EXPECT_EQ(resumed->results_fingerprint, baseline.results_fingerprint);
   RemoveCheckpointDebris(path);
 }
 
