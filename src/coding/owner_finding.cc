@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <span>
+#include <utility>
 
 #include "util/require.h"
 
@@ -15,6 +16,21 @@ constexpr std::size_t kBlock = BitString::kWordBits;
 // Party-local owner-finding state; everything here is derived from the
 // party's input and the bits it received, never from other parties' state.
 struct LocalState {
+  explicit LocalState(std::size_t chunk_len)
+      : claimed(chunk_len, 0), owner(chunk_len, -1) {}
+
+  // The update from one decoded message: Next passes the turn, any other
+  // message is a round the turn-holder claims.
+  void Apply(std::uint64_t sigma, const BeepCode& code) {
+    if (sigma == code.next_token()) {
+      ++turn;
+    } else {
+      const auto j = static_cast<std::size_t>(sigma);
+      claimed[j] = 1;
+      owner[j] = turn;
+    }
+  }
+
   int turn = 0;                    // whose turn this party believes it is
   std::vector<std::uint8_t> claimed;  // rounds this party has seen claimed
   std::vector<int> owner;          // recorded owners, -1 = none
@@ -54,6 +70,47 @@ void Transpose64(std::array<std::uint64_t, kBlock>& rows) {
   }
 }
 
+// Every party hears each round alike, so every party decodes the same word
+// and applies the same update to the same initial state: one state stands
+// for all n.  Party `turn` alone speaks, from its own view and beeps, and
+// each codeword bit is one shared round.
+std::vector<int> SharedOwners(RoundEngine& engine, const BeepCode& code,
+                              const std::vector<BitString>& pi_view,
+                              const std::vector<BitString>& beeped) {
+  const auto n = static_cast<int>(engine.num_parties());
+  const CodebookCode& book = code.codebook();
+  const std::size_t word_len = code.codeword_length();
+  LocalState state(code.chunk_len());
+  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
+  std::vector<std::uint64_t> received(book.words_per_codeword());
+  const int iterations = code.chunk_len() + n;
+  for (int l = 0; l < iterations; ++l) {
+    const int speaker = state.turn;
+    if (speaker >= n) {
+      // Every party has passed the turn (earlier after decoding errors):
+      // nobody speaks again, but the remaining rounds still run.
+      const auto silent = static_cast<std::size_t>(iterations - l) * word_len;
+      for (std::size_t t = 0; t < silent; ++t) {
+        (void)engine.RepeatRound(beeps, 1, FlagRule::kMajority);
+      }
+      break;
+    }
+    const std::span<const std::uint64_t> codeword = book.CodewordWords(
+        NextMessage(speaker, state, pi_view[speaker], beeped[speaker], code));
+    std::fill(received.begin(), received.end(), 0);
+    for (std::size_t t = 0; t < word_len; ++t) {
+      SetPackedBit(beeps, speaker,
+                   ((codeword[t / kBlock] >> (t % kBlock)) & 1u) != 0);
+      const bool heard =
+          PackedBit(engine.RepeatRound(beeps, 1, FlagRule::kMajority), 0);
+      received[t / kBlock] |= std::uint64_t{heard} << (t % kBlock);
+    }
+    SetPackedBit(beeps, speaker, false);
+    state.Apply(book.DecodeWords(received), code);
+  }
+  return std::move(state.owner);
+}
+
 }  // namespace
 
 OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
@@ -70,13 +127,13 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
                "chunk views must match the code's chunk length");
   }
 
-  std::vector<LocalState> state(n);
-  for (auto& s : state) {
-    s.claimed.assign(chunk_len, 0);
-    s.owner.assign(chunk_len, -1);
+  engine.SetPhase("owner-finding");
+  if (engine.shares_rounds()) {
+    return {std::vector<std::vector<int>>(
+        n, SharedOwners(engine, code, pi_view, beeped))};
   }
 
-  engine.SetPhase("owner-finding");
+  std::vector<LocalState> state(n, LocalState(chunk_len));
   const CodebookCode& book = code.codebook();
   const std::size_t word_len = code.codeword_length();
   const std::size_t stride = book.words_per_codeword();
@@ -133,15 +190,15 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
     }
     // Decoding + state update, per party, from that party's received bits.
     // Decoding is a pure function of the word, so a party that received
-    // the word decoded last reuses its message: under a shared-draw
-    // channel that is every party after the first.
+    // the word decoded last reuses its message: on a channel every party
+    // hears alike that the engine does not share (a record or replay
+    // wrapper) that is every party after the first.
     const std::uint64_t* decoded = nullptr;
     std::uint64_t sigma = 0;
     for (int i = 0; i < n; ++i) {
-      // Once this party's turn counter has run past the last party (only
-      // possible after decoding errors), every remaining iteration carries
-      // no usable information for it: ignore locally rather than record
-      // claims by a non-existent party.
+      // Once this party's turn counter has passed the last party (earlier
+      // after decoding errors), the remaining iterations carry nothing for
+      // it: ignore them rather than record claims by a non-existent party.
       if (state[i].turn >= n) continue;
       const std::uint64_t* word =
           received.data() + static_cast<std::size_t>(i) * stride;
@@ -149,13 +206,7 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
         sigma = book.DecodeWords({word, stride});
         decoded = word;
       }
-      if (sigma == code.next_token()) {
-        ++state[i].turn;
-      } else {
-        const auto j = static_cast<std::size_t>(sigma);
-        state[i].claimed[j] = 1;
-        state[i].owner[j] = state[i].turn;
-      }
+      state[i].Apply(sigma, code);
     }
   }
 

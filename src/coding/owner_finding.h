@@ -17,6 +17,14 @@
 // turn-holder.  Under a correlated channel all parties decode identical
 // words, so their turn counters and owner maps never diverge; Theorem D.1
 // bounds the failure probability by n^-10 for suitable code length.
+//
+// So when the engine shares rounds (RoundEngine::shares_rounds), one state
+// stands for every party: the turn-holder alone speaks, from its own view
+// and beeps, each codeword bit is one shared round, and one decode serves
+// all n parties.  It runs the same rounds and draws, and returns the same
+// owners, as the per-party path would on that engine.  Any other engine
+// runs the per-party path: each party keeps its own state and decodes the
+// bits it received.
 #ifndef NOISYBEEPS_CODING_OWNER_FINDING_H_
 #define NOISYBEEPS_CODING_OWNER_FINDING_H_
 

@@ -69,7 +69,8 @@ class RoundEngine {
   // party's decoded bit under `rule`, packed the same way (valid until the
   // next call, tail bits zero).  The repetition code of every repeated
   // phase: chunk simulation, Execute with reps > 1, and the flag exchanges
-  // of coding/verification.h.  When the engine shares rounds, each
+  // of coding/verification.h; with reps = 1, the owner phase's rounds on an
+  // engine that shares them.  When the engine shares rounds, each
   // repetition is the channel's one SharedOutcome draw -- the draw
   // RoundWords' delivery makes -- counted once for every party; otherwise
   // each runs through RoundWords and every party's count of received 1s is

@@ -4,6 +4,7 @@
 #include <bit>
 #include <span>
 
+#include "util/math.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -41,8 +42,24 @@ class RepeatedInputSetParty final : public Party {
       mask.back() &= BitString::TailMask(length);
       return mask;
     }
-    // Walk the 1s in order, counting them per element.  An element with
-    // no 1 is never a member, so only elements that have one are decided.
+    // The walk takes a step per 1 and the count a step per element, at
+    // about the same cost per step, and a field holds about r * d ones.
+    // InputSet's rounds have density d of 0.26 (down noise) to 0.6 (up
+    // noise): the count wins from r = 3 at d = 0.6 but only from about
+    // r = 5 at d = 0.26, so below r = 5 the walk runs.
+    if (repetitions_ <= 4) {
+      WalkOnes(words, length, mask);
+    } else {
+      CountFields(words, mask);
+    }
+    return mask;
+  }
+
+ private:
+  // Walks the 1s in order, counting them per element.  An element with no
+  // 1 is never a member, so only elements that have one are decided.
+  void WalkOnes(std::span<const std::uint64_t> words, std::size_t length,
+                PartyOutput& mask) const {
     int element = -1;
     int ones = 0;
     const auto decide = [&] {
@@ -66,10 +83,32 @@ class RepeatedInputSetParty final : public Party {
       }
     }
     decide();
-    return mask;
   }
 
- private:
+  // Element e's rounds are the field [e*r, e*r + r): counts its 1s with a
+  // masked popcount of each word the field covers.
+  void CountFields(std::span<const std::uint64_t> words,
+                   PartyOutput& mask) const {
+    const auto r = static_cast<std::size_t>(repetitions_);
+    const std::uint64_t field =
+        r < 64 ? (std::uint64_t{1} << r) - 1 : ~std::uint64_t{0};
+    std::size_t begin = 0;
+    for (int e = 0; e < universe_; ++e) {
+      const std::size_t end = begin + r;
+      const std::size_t first = begin / 64;
+      const std::size_t last = (end - 1) / 64;
+      int ones = WordPopCount((words[first] >> (begin % 64)) & field);
+      if (first != last) {
+        for (std::size_t w = first + 1; w < last; ++w) {
+          ones += WordPopCount(words[w]);
+        }
+        ones += WordPopCount(words[last] & BitString::TailMask(end));
+      }
+      mask[e / 64] |= std::uint64_t{IsMember(ones)} << (e % 64);
+      begin = end;
+    }
+  }
+
   [[nodiscard]] bool IsMember(int ones) const {
     return decision_ == RoundDecision::kMajority ? 2 * ones >= repetitions_
                                                  : ones == repetitions_;

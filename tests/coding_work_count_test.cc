@@ -19,7 +19,9 @@
 // The round engine.  RoundEngine::RepeatRound runs each repetition as one
 // shared bit when the engine shares rounds, and through RoundWords
 // (O(n/64) per round) otherwise: on e2's shape every one of the T * reps
-// rounds is a shared round, on the independent channel none is.
+// rounds is a shared round, on the independent channel none is.  The owner
+// phase sends each codeword bit through it as one shared round when the
+// engine shares rounds, and through RoundWords otherwise.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,7 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "coding/beep_code.h"
 #include "coding/hierarchical_sim.h"
+#include "coding/owner_finding.h"
 #include "coding/repetition_sim.h"
 #include "coding/rewind_sim.h"
 #include "fault/fault_plan.h"
@@ -347,6 +351,52 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<EngineCase>& case_info) {
       return case_info.param.name;
     });
+
+// FindOwners at e1_rewind_correlated's shape: n = 128, chunk 128 and
+// factor 6, so 54-round codewords over 128 + 128 iterations.  A plain
+// engine on the same seed shows that counting changes nothing.
+TEST(OwnerFindingRoundCount, SharedRoundsSkipTheWordPath) {
+  constexpr int kParties = 128;
+  constexpr int kChunk = 128;
+  const BeepCode code(kChunk, 6, 0x5eedbee9 + kChunk);
+  ASSERT_EQ(code.codeword_length(), 54u);
+  // About one beeper per round, as InputSet's chunks have.
+  Rng fixture_rng(11);
+  std::vector<BitString> beeped(kParties, BitString(kChunk));
+  BitString pi(kChunk);
+  for (BitString& bits : beeped) {
+    for (int m = 0; m < kChunk; ++m) {
+      if (fixture_rng.Bernoulli(1.0 / kParties)) {
+        bits.Set(m, true);
+        pi.Set(m, true);
+      }
+    }
+  }
+  const std::vector<BitString> views(kParties, pi);
+  const std::int64_t rounds = (kParties + kChunk) * 54;
+  ASSERT_EQ(rounds, 13'824);
+
+  for (const std::string channel_name : {"correlated", "independent"}) {
+    SCOPED_TRACE(channel_name);
+    const bool independent = channel_name == "independent";
+    const std::unique_ptr<Channel> channel =
+        service::MakeChannel(channel_name, 0.05);
+    Rng plain_rng(7);
+    RoundEngine plain(*channel, plain_rng, kParties);
+    const OwnerFindingResult expected = FindOwners(plain, code, views, beeped);
+
+    Rng rng(7);
+    CountingEngine engine(*channel, rng, kParties);
+    const OwnerFindingResult result = FindOwners(engine, code, views, beeped);
+    EXPECT_EQ(result.owners, expected.owners);
+    EXPECT_EQ(engine.phase_rounds(), plain.phase_rounds());
+    EXPECT_EQ(rng.SaveState(), plain_rng.SaveState());
+
+    EXPECT_EQ(engine.phase_rounds().at("owner-finding"), rounds);
+    EXPECT_EQ(engine.shares_rounds(), !independent);
+    EXPECT_EQ(engine.round_words_calls(), independent ? rounds : 0);
+  }
+}
 
 }  // namespace
 }  // namespace noisybeeps

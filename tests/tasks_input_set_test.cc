@@ -197,7 +197,7 @@ TEST(InputSet, ComputeOutputMatchesABitLoop) {
     Rng rng(seed);
     const int n = 1 + static_cast<int>(rng.UniformInt(80));
     const InputSetInstance instance = SampleInputSet(n, rng);
-    for (const int r : {1, 2, 3, 5}) {
+    for (const int r : {1, 2, 3, 4, 5, 8, 41, 64, 65, 130}) {
       for (const RoundDecision decision :
            {RoundDecision::kMajority, RoundDecision::kAllOnes}) {
         const auto protocol =
