@@ -22,16 +22,12 @@ namespace {
 using namespace noisybeeps;
 
 // One round per iteration through RoundEngine::RoundWords, 64 parties per
-// u64, one beeper.  Stream-compat is the mode every simulator runs; fast
-// mode batches the independent channel's sampling and is the mega-n
-// configuration -- its Args extend to 2^20 parties.
+// u64, one beeper: the round every simulator runs.
 template <typename ChannelT>
-void RoundLoop(benchmark::State& state, const ChannelT& channel,
-               WordMode mode = WordMode::kStreamCompat) {
+void RoundLoop(benchmark::State& state, const ChannelT& channel) {
   const std::int64_t n = state.range(0);
   Rng rng(1);
   RoundEngine engine(channel, rng, n);
-  engine.SetWordMode(mode);
   std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
   SetPackedBit(beeps, n / 2, true);
   for (auto _ : state) {
@@ -69,33 +65,6 @@ void BM_RoundSharedRandomness(benchmark::State& state) {
   RoundLoop(state, SharedRandomnessOneSidedAdapter::PaperInstance());
 }
 BENCHMARK(BM_RoundSharedRandomness)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_RoundWordsIndependentFast(benchmark::State& state) {
-  RoundLoop(state, IndependentNoisyChannel(0.1), WordMode::kFast);
-}
-BENCHMARK(BM_RoundWordsIndependentFast)
-    ->Arg(512)
-    ->Arg(4096)
-    ->Arg(65536)
-    ->Arg(262144)
-    ->Arg(1048576);
-
-void BM_RoundWordsIndependentFastSparse(benchmark::State& state) {
-  // eps * 64 < 1: the geometric skip walk, the regime where round cost is
-  // dominated by the O(eps * n) flips rather than the O(n / 64) words.
-  RoundLoop(state, IndependentNoisyChannel(0.001), WordMode::kFast);
-}
-BENCHMARK(BM_RoundWordsIndependentFastSparse)
-    ->Arg(65536)
-    ->Arg(262144)
-    ->Arg(1048576);
-
-void BM_RoundWordsCorrelatedFast(benchmark::State& state) {
-  // Shared-draw word delivery: one draw then a word fill, so cost is pure
-  // memory bandwidth at any n.
-  RoundLoop(state, CorrelatedNoisyChannel(0.1), WordMode::kFast);
-}
-BENCHMARK(BM_RoundWordsCorrelatedFast)->Arg(4096)->Arg(1048576);
 
 // Full protocol execution end to end (round loop + party beep functions +
 // transcript bookkeeping): rounds/second for the trivial InputSet run,

@@ -77,10 +77,9 @@ void Channel::Deliver(std::int64_t num_beepers,
 
 void SharedDrawChannel::DeliverWords(std::int64_t num_beepers,
                                      std::span<std::uint64_t> received,
-                                     std::int64_t num_parties, WordMode mode,
-                                     Rng& rng) const {
+                                     std::int64_t num_parties,
+                                     WordMode /*mode*/, Rng& rng) const {
   CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // one outcome per round: the modes coincide
   FillSharedWords(received, num_parties, SharedOutcome(num_beepers, rng));
 }
 

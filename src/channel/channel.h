@@ -30,19 +30,15 @@
 
 namespace noisybeeps {
 
-// How delivery treats the random stream:
-//   kStreamCompat  draw-for-draw identical to the historical byte-per-
-//                  listener stream: same seed => same bits AND the same
-//                  number of NextU64 calls, so every golden (channel
-//                  stream tests, EXPERIMENTS.md numbers) stays valid.
-//                  Every simulator runs in this mode.
-//   kFast          batched noise sampling -- geometric skip-sampling for
-//                  sparse noise, bit-sliced word draws otherwise -- with
-//                  its own goldens, gated by perfguard baselines.
-// Shared-draw channels consume one draw per round either way, so for them
-// the modes coincide by construction; only per-listener noise (the
-// independent channel) distinguishes them.
-enum class WordMode : std::uint8_t { kStreamCompat, kFast };
+// How delivery treats the random stream.  It has one value:
+// kStreamCompat, draw-for-draw identical to the historical byte-per-
+// listener stream (same seed => same bits AND the same number of NextU64
+// calls), which every golden (channel stream tests, EXPERIMENTS.md
+// numbers) pins.  No channel reads the parameter; it stays in
+// DeliverWords only because the end-to-end benchmark (bench/nbbench)
+// overrides that signature in its tracing channel and passes
+// kStreamCompat when it times delivery.
+enum class WordMode : std::uint8_t { kStreamCompat };
 
 // Bits per packed word; words needed for n parties; the valid-bit mask of
 // the LAST word (all-ones when n is a multiple of 64).  These mirror
@@ -110,9 +106,9 @@ class Channel {
                             std::int64_t num_parties, WordMode mode,
                             Rng& rng) const = 0;
 
-  // Byte-per-listener view of DeliverWords in kStreamCompat mode:
-  // received[i] is set to the bit (0/1) party i hears.  Allocates a word
-  // buffer per call, so it is for tests and tooling, never a round loop.
+  // Byte-per-listener view of DeliverWords: received[i] is set to the bit
+  // (0/1) party i hears.  Allocates a word buffer per call, so it is for
+  // tests and tooling, never a round loop.
   // Virtual only so a forwarding decorator can observe the calls.
   // Preconditions: received is non-empty, 0 <= num_beepers <=
   // received.size().
@@ -134,8 +130,7 @@ class Channel {
 
 // A channel on which every listener hears the same outcome in each round:
 // every built-in channel except the independent-noise one.  It defines
-// only that outcome; delivery fills every listener's bit from it.  One
-// outcome per round means the word modes coincide by construction.
+// only that outcome; delivery fills every listener's bit from it.
 class SharedDrawChannel : public Channel {
  public:
   // The bit every listener hears this round, drawn from `rng` per the

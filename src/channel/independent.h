@@ -2,13 +2,9 @@
 // receives its own epsilon-noisy copy of the OR, with noise independent
 // across parties and rounds.  Parties may witness different transcripts.
 //
-// This is the one built-in channel whose word modes are distinct streams:
-// per-listener noise means kStreamCompat draws one Sample per listener in
-// listener order (the historical stream), while kFast batches -- geometric skip-sampling when
-// flips are sparse (expected draws ~ eps * n), bit-sliced word draws
-// otherwise (~7.5 draws per 64 listeners).  Both modes sample each
-// listener's flip from the identical fixed-point Bernoulli(eps)
-// distribution; only the draw order and count differ.
+// Per-listener noise means one sampler draw per listener per round, in
+// listener order: the historical stream every independent-noise golden
+// and EXPERIMENTS.md number pins.
 #ifndef NOISYBEEPS_CHANNEL_INDEPENDENT_H_
 #define NOISYBEEPS_CHANNEL_INDEPENDENT_H_
 
@@ -32,8 +28,6 @@ class IndependentNoisyChannel final : public Channel {
  private:
   double epsilon_;
   BernoulliSampler noise_;
-  BernoulliWordSampler word_noise_;
-  GeometricSkipSampler skip_;
 };
 
 }  // namespace noisybeeps

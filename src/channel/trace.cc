@@ -106,11 +106,10 @@ ReplayChannel::ReplayChannel(Trace trace, bool correlated)
 
 void ReplayChannel::DeliverWords(std::int64_t num_beepers,
                                  std::span<std::uint64_t> received,
-                                 std::int64_t num_parties, WordMode mode,
-                                 Rng& rng) const {
+                                 std::int64_t num_parties,
+                                 WordMode /*mode*/, Rng& /*rng*/) const {
   CheckWordDelivery(num_beepers, received, num_parties);
-  (void)mode;  // the recording dictates the outcome
-  (void)rng;
+  // The recording dictates the outcome.
   NB_REQUIRE(next_ < trace_.size(),
              "ReplayChannel: trace exhausted after " +
                  std::to_string(trace_.size()) +

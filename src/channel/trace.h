@@ -75,7 +75,7 @@ class ReplayChannel final : public Channel {
   // caller, never silently absorbed.
   ReplayChannel(Trace trace, bool correlated);
 
-  // Packs the next recorded round into words; ignores mode and rng.
+  // Packs the next recorded round into words; ignores the rng.
   void DeliverWords(std::int64_t num_beepers,
                     std::span<std::uint64_t> received,
                     std::int64_t num_parties, WordMode mode,

@@ -439,12 +439,10 @@ void CheckChannelHotPath(const RepoModel& repo, std::vector<Finding>& out) {
   // Channel delivery is the Monte Carlo inner loop: one call per noisy
   // round.  A channel draws in DeliverWords, in a shared-draw channel's
   // SharedOutcome, or (for a decorator) in Deliver.  Every draw there goes
-  // through a precomputed sampler from util/rng.h: BernoulliSampler is
-  // bit-identical to rng.Bernoulli(p) at one integer compare per draw, and
-  // BernoulliWordSampler / GeometricSkipSampler batch the fast word mode.
-  // A per-sample Bernoulli / UniformDouble() < p re-derives the
-  // fixed-point threshold on every draw, and in the word path restores the
-  // per-bit cost the batching exists to avoid.
+  // through util/rng.h's precomputed BernoulliSampler, which is
+  // bit-identical to rng.Bernoulli(p) at one integer compare per draw.  A
+  // per-sample Bernoulli / UniformDouble() < p re-derives the fixed-point
+  // threshold on every draw.
   for (const FileModel& file : repo.files()) {
     if (!file.path().starts_with("src/channel/")) continue;
     for (const FunctionInfo& fn : file.functions()) {
@@ -467,8 +465,7 @@ void CheckChannelHotPath(const RepoModel& repo, std::vector<Finding>& out) {
             {file.path(), t.line, "channel-hot-path",
              t.text + " inside a " + fn.name +
                  " implementation: draw through a precomputed "
-                 "BernoulliSampler / BernoulliWordSampler / "
-                 "GeometricSkipSampler (util/rng.h) -- bit-identical "
+                 "BernoulliSampler (util/rng.h) -- bit-identical "
                  "stream, no per-draw threshold"});
       }
     }
@@ -1081,8 +1078,8 @@ std::vector<Rule> BuildRegistry() {
   rules.push_back(Rule{
       "channel-hot-path", Severity::kError, "performance",
       "Channel Deliver, DeliverWords and SharedOutcome bodies must draw "
-      "through the precomputed samplers in util/rng.h, not per-sample "
-      "UniformDouble()/Bernoulli().",
+      "through the precomputed BernoulliSampler in util/rng.h, not "
+      "per-sample UniformDouble()/Bernoulli().",
       CheckChannelHotPath,
       {F("src/channel/fixture_deliver.cc",
          "struct Chan {\n"
@@ -1099,11 +1096,10 @@ std::vector<Rule> BuildRegistry() {
          "  bool SharedOutcome(double p) { return rng_.UniformDouble() < p; }\n"
          "};\n")},
       "Delivery runs once per round per trial -- billions of times in a "
-      "sweep -- and a fast word round covers a million listeners in "
-      "thousands of draws.  Stream-identical fixed-point samplers and "
-      "batched word sampling are what keep it that cheap; this rule keeps "
-      "per-sample floating-point draws from creeping back into any of the "
-      "three functions a channel draws in."});
+      "sweep.  A stream-identical fixed-point sampler keeps each draw one "
+      "integer compare; this rule keeps per-sample floating-point draws "
+      "from creeping back into any of the three functions a channel draws "
+      "in."});
   rules.push_back(Rule{
       "checkpoint-atomicity", Severity::kError, "robustness",
       "Checkpoint files must be written via WriteCheckpointAtomic "

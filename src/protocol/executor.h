@@ -52,8 +52,8 @@ struct ExecutionResult {
 [[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
                                       RoundEngine& engine, int reps = 1);
 
-// Runs `protocol` for its full length over `channel`, in stream-compat
-// mode.
+// Runs `protocol` for its full length over `channel`, one round per
+// protocol round, on a plain RoundEngine.
 [[nodiscard]] ExecutionResult Execute(const Protocol& protocol,
                                       const Channel& channel, Rng& rng);
 

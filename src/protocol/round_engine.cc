@@ -41,7 +41,7 @@ std::span<const std::uint64_t> RoundEngine::RoundWords(
   std::int64_t num_beepers = 0;
   for (std::uint64_t w : beep_words) num_beepers += WordPopCount(w);
   channel_->DeliverWords(num_beepers, received_words_, num_parties_,
-                         word_mode_, *rng_);
+                         WordMode::kStreamCompat, *rng_);
   CountRound();
   return received_words_;
 }
@@ -59,8 +59,8 @@ std::span<const std::uint64_t> RoundEngine::RepeatRound(
   if (shares_rounds()) {
     // Every party hears each repetition alike, so one scalar counts them
     // for everyone.  SharedDrawChannel::DeliverWords fills every
-    // listener's bit from this same draw in either word mode, so the
-    // stream does not see the difference.
+    // listener's bit from this same draw, so the stream does not see the
+    // difference.
     std::int64_t num_beepers = 0;
     for (const std::uint64_t w : beeps) num_beepers += WordPopCount(w);
     unsigned ones = 0;

@@ -95,11 +95,6 @@ class RoundEngine {
   // round loops.  Precondition: beeps.size() == num_parties().
   std::span<const std::uint8_t> Round(std::span<const std::uint8_t> beeps);
 
-  // Stream discipline for delivery: kStreamCompat (the default, and what
-  // every simulator runs) consumes the rng draw-for-draw like the
-  // historical byte path; kFast batches noise sampling (its own stream).
-  void SetWordMode(WordMode mode) { word_mode_ = mode; }
-
   // Total noisy rounds consumed so far.
   [[nodiscard]] std::int64_t rounds_used() const { return rounds_used_; }
 
@@ -143,7 +138,6 @@ class RoundEngine {
   const SharedDrawChannel* shared_channel_;
   Rng* rng_;
   std::int64_t num_parties_;
-  WordMode word_mode_ = WordMode::kStreamCompat;
   std::int64_t rounds_used_ = 0;
   std::vector<std::uint64_t> received_words_;
   // RepeatRound's result, and its bit-sliced counts (sized per call).

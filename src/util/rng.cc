@@ -84,54 +84,6 @@ Rng Rng::Restore(const std::array<std::uint64_t, 4>& state) {
   return rng;
 }
 
-BernoulliWordSampler::BernoulliWordSampler(double p) : p_(p), threshold_(0) {
-  NB_REQUIRE(p >= 0.0 && p <= 1.0, "Bernoulli parameter out of [0,1]");
-  threshold_ = BernoulliThreshold(p);
-}
-
-std::uint64_t BernoulliWordSampler::NoiseWord(Rng& rng) const {
-  if (threshold_ == 0) return 0;                          // p == 0: no draw
-  if (threshold_ >= (std::uint64_t{1} << 53)) {           // p == 1: no draw
-    return ~std::uint64_t{0};
-  }
-  // Lane l is true iff its 53-bit uniform k_l < threshold_.  Generate the
-  // k_l bit-sliced from the MSB (bit 52) down: draw r supplies bit j of
-  // every lane's uniform.  While a lane's bits have matched the
-  // threshold's, it is undecided; the first differing bit decides it
-  // (uniform bit 0 under threshold bit 1 => below; 1 under 0 => above).
-  // Lanes still undecided after all 53 bits equal the threshold exactly,
-  // and k == t is not k < t: they stay 0.
-  std::uint64_t result = 0;
-  std::uint64_t undecided = ~std::uint64_t{0};
-  for (int j = 52; j >= 0; --j) {
-    const std::uint64_t r = rng.NextU64();
-    if ((threshold_ >> j) & 1u) {
-      result |= undecided & ~r;
-      undecided &= r;
-    } else {
-      undecided &= ~r;
-    }
-    if (undecided == 0) break;
-  }
-  return result;
-}
-
-GeometricSkipSampler::GeometricSkipSampler(double p) : p_(p) {
-  NB_REQUIRE(p >= 0.0 && p <= 1.0, "Bernoulli parameter out of [0,1]");
-  if (p > 0.0 && p < 1.0) inv_log_q_ = 1.0 / std::log1p(-p);
-}
-
-std::uint64_t GeometricSkipSampler::NextGap(Rng& rng) const {
-  if (p_ <= 0.0) return kNoSuccess;  // skip to infinity, stream untouched
-  if (p_ >= 1.0) return 0;           // every position succeeds, no draw
-  const double u = rng.UniformDouble();  // [0, 1): log1p(-u) is finite
-  const double gap = std::log1p(-u) * inv_log_q_;
-  // For tiny p the inverted gap can exceed any caller's range (and even
-  // u64); saturate rather than wrap.  9e18 < 2^63 keeps the cast exact.
-  if (!(gap < 9.0e18)) return kNoSuccess;
-  return static_cast<std::uint64_t>(gap);
-}
-
 Rng Rng::Split() {
   // Seed the child from fresh output; the child reseeds through SplitMix64
   // so parent and child trajectories are decorrelated.

@@ -95,68 +95,6 @@ class BernoulliSampler {
   std::uint64_t threshold_;
 };
 
-// Word-parallel Bernoulli sampler for the fast word-delivery mode
-// (docs/PERFORMANCE.md): one NoiseWord() call yields 64 i.i.d.
-// Bernoulli(p) lanes packed into a u64.
-//
-// Each lane conceptually compares a fresh 53-bit uniform k against the
-// same fixed-point threshold t(p) = BernoulliThreshold(p) the scalar
-// sampler uses, so every lane is EXACTLY Bernoulli(t(p)/2^53) -- the
-// identical distribution BernoulliSampler::Sample realizes per draw
-// (same distribution, different stream: fast mode has its own goldens).
-// The uniforms are generated bit-sliced, MSB first: bit j of one NextU64
-// supplies bit j of EVERY lane's uniform, and a lane is decided the
-// first time its uniform bit differs from the threshold bit.  Undecided
-// lanes halve per draw in expectation, so a word costs ~log2(64) + 2
-// (about 7.5) NextU64 calls regardless of p -- versus 64 for the scalar
-// per-listener loop.  p == 0 and p == 1 consume no draws at all.
-class BernoulliWordSampler {
- public:
-  // Precondition: 0 <= p <= 1.
-  explicit BernoulliWordSampler(double p = 0.0);
-
-  // 64 i.i.d. Bernoulli(p()) bits.  Consumes between 0 and 53 NextU64
-  // calls (deterministic given the rng state).
-  [[nodiscard]] std::uint64_t NoiseWord(Rng& rng) const;
-
-  [[nodiscard]] double p() const { return p_; }
-  [[nodiscard]] std::uint64_t threshold() const { return threshold_; }
-
- private:
-  double p_;
-  std::uint64_t threshold_;
-};
-
-// Geometric skip-sampling for sparse noise (fast word-delivery mode,
-// small epsilon): instead of flipping a coin per position, NextGap
-// returns the number of Bernoulli(p) failures strictly before the next
-// success, sampled by inversion (floor(log(1-U) / log(1-p))).  Walking
-// positions pos += gap + 1 visits exactly the success positions of an
-// i.i.d. Bernoulli(p) sequence (up to double rounding in the logs --
-// documented in docs/PERFORMANCE.md), at a cost of one NextU64 per
-// SUCCESS rather than one per position.
-//
-// Edge cases, pinned by tests/channel_words_test.cc: p == 0 returns
-// kNoSuccess ("skip to infinity") WITHOUT consuming a draw; p == 1
-// returns 0 without consuming a draw; gaps too large for the caller's
-// range saturate at kNoSuccess instead of overflowing.
-class GeometricSkipSampler {
- public:
-  static constexpr std::uint64_t kNoSuccess = ~std::uint64_t{0};
-
-  // Precondition: 0 <= p <= 1.
-  explicit GeometricSkipSampler(double p = 0.0);
-
-  // Failures before the next success; kNoSuccess when p == 0 (no draw).
-  [[nodiscard]] std::uint64_t NextGap(Rng& rng) const;
-
-  [[nodiscard]] double p() const { return p_; }
-
- private:
-  double p_;
-  double inv_log_q_ = 0.0;  // 1 / log(1 - p); 0 when degenerate
-};
-
 }  // namespace noisybeeps
 
 #endif  // NOISYBEEPS_UTIL_RNG_H_

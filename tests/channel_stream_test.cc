@@ -249,31 +249,5 @@ TEST(ChannelStream, WordStreamCompatReproducesTheGoldens) {
             DeliveredStream(independent, /*all_parties=*/true));
 }
 
-// Fast-mode goldens for the one channel whose fast path draws a genuinely
-// different stream (batched bit-sliced words at large eps, geometric skip
-// sampling at small eps).  These pin the realized fast noise at kSeed;
-// shared-draw channels have no separate fast goldens because their fast
-// path is draw-for-draw the scalar path.
-TEST(ChannelStream, FastModeGoldensArePinned) {
-  // eps = 0.2: eps * 64 >= 1, so the bit-sliced word sampler runs.
-  EXPECT_EQ(
-      DeliveredStreamWords(IndependentNoisyChannel(0.2), WordMode::kFast,
-                           /*all_parties=*/true),
-      "0000001100111100000001111111011000001111111010000011111111110000"
-      "0111111101100000101011110100000111111010100001111101101010000101"
-      "1110110000001101101111011100011101110000000111111111010001111111"
-      "1111000001111110110000011110011100000010111111110001011111110110"
-      "0000001101011100100001111111100000111111110100010101111111101100");
-  // eps = 0.004: eps * 64 < 1, so the geometric skip walk runs.
-  EXPECT_EQ(
-      DeliveredStreamWords(IndependentNoisyChannel(0.004), WordMode::kFast,
-                           /*all_parties=*/true),
-      "0000011111111110000011111111110000011111111110000011111111110000"
-      "0111111111100000111111111100000111111111100000111111111100000111"
-      "1111111000001111111111000001111111111000001111111111000001111111"
-      "1110000011111111110000011011111110000011111111110000011111111110"
-      "0000111111111100000111111111100000111111111100000111111111100000");
-}
-
 }  // namespace
 }  // namespace noisybeeps

@@ -2,21 +2,19 @@
 //
 // Three contracts are held to account here:
 //   1. the byte adapter is the word path: for EVERY channel, Deliver
-//      produces the bits of DeliverWords in kStreamCompat mode AND leaves
-//      the rng in the identical state -- same seed, same draws, same bits
+//      produces the bits of DeliverWords AND leaves the rng in the
+//      identical state -- same seed, same draws, same bits
 //      (channel_stream_test.cc pins that stream to the historical one).
-//   2. shared-draw channels cannot tell the modes apart: one draw per
-//      round either way, so kFast == kStreamCompat == scalar for all of
-//      them by construction.
-//   3. the fast independent path batches: epsilon = 0 consumes no
-//      randomness, the per-lane flip distribution matches the scalar
-//      sampler statistically, tail bits of the last word stay zero at
-//      every word-straddling party count, and the stream-compat draw
-//      count is pinned to exactly one NextU64 per listener.
+//   2. the engine's word round is its byte round: RoundWords, bare or
+//      under a FaultPlan, delivers the bits and makes the draws of Round,
+//      and a decorator (record, replay) changes neither.
+//   3. packing holds at every size: tail bits of the last word stay zero
+//      at every word-straddling party count, the independent channel
+//      draws exactly one NextU64 per listener, and a round over 2^20
+//      parties is a routine operation.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -77,7 +75,7 @@ std::int64_t BeepersAt(int r, std::int64_t n) {
 // (burst's Markov chain) twice per round and compare different rounds.
 void ExpectWordPathMatchesScalar(const Channel& scalar_channel,
                                  const Channel& word_channel, std::int64_t n,
-                                 WordMode mode, int rounds = 32) {
+                                 int rounds = 32) {
   Rng scalar_rng(kSeed);
   Rng word_rng(kSeed);
   std::vector<std::uint8_t> received(static_cast<std::size_t>(n), 0);
@@ -86,7 +84,8 @@ void ExpectWordPathMatchesScalar(const Channel& scalar_channel,
   for (int r = 0; r < rounds; ++r) {
     const std::int64_t beepers = BeepersAt(r, n);
     scalar_channel.Deliver(beepers, received, scalar_rng);
-    word_channel.DeliverWords(beepers, received_words, n, mode, word_rng);
+    word_channel.DeliverWords(beepers, received_words, n,
+                              WordMode::kStreamCompat, word_rng);
     PackBits(received, packed);
     ASSERT_EQ(packed, received_words)
         << scalar_channel.name() << " n=" << n << " round=" << r;
@@ -94,11 +93,9 @@ void ExpectWordPathMatchesScalar(const Channel& scalar_channel,
     ASSERT_EQ(received_words.back() & ~TailWordMask(n), 0u)
         << scalar_channel.name() << " n=" << n << " round=" << r;
   }
-  if (mode == WordMode::kStreamCompat) {
-    // Draw-for-draw identity: the streams end in the same place.
-    EXPECT_EQ(scalar_rng.SaveState(), word_rng.SaveState())
-        << scalar_channel.name() << " n=" << n;
-  }
+  // Draw-for-draw identity: the streams end in the same place.
+  EXPECT_EQ(scalar_rng.SaveState(), word_rng.SaveState())
+      << scalar_channel.name() << " n=" << n;
 }
 
 TEST(ChannelWords, StreamCompatIsBitAndDrawIdenticalToScalar) {
@@ -106,38 +103,7 @@ TEST(ChannelWords, StreamCompatIsBitAndDrawIdenticalToScalar) {
   for (std::size_t c = 0; c < scalar_channels.size(); ++c) {
     for (const std::int64_t n : kPartyCounts) {
       // Fresh twins per party count: stateful channels restart clean.
-      ExpectWordPathMatchesScalar(*AllChannels()[c], *AllChannels()[c], n,
-                                  WordMode::kStreamCompat);
-    }
-  }
-}
-
-TEST(ChannelWords, SharedDrawChannelsCannotTellModesApart) {
-  const auto probe_channels = AllChannels();
-  for (std::size_t c = 0; c < probe_channels.size(); ++c) {
-    if (!probe_channels[c]->is_correlated()) continue;
-    for (const std::int64_t n : kPartyCounts) {
-      // For shared-draw channels fast == compat == scalar, including the
-      // end rng state (one draw per round either way).
-      ExpectWordPathMatchesScalar(*AllChannels()[c], *AllChannels()[c], n,
-                                  WordMode::kFast);
-      const auto fast_channel = std::move(AllChannels()[c]);
-      const auto compat_channel = std::move(AllChannels()[c]);
-      Rng fast_rng(kSeed);
-      Rng compat_rng(kSeed);
-      std::vector<std::uint64_t> fast_words(WordsForParties(n), 0);
-      std::vector<std::uint64_t> compat_words(WordsForParties(n), 0);
-      for (int r = 0; r < 32; ++r) {
-        const std::int64_t beepers = BeepersAt(r, n);
-        fast_channel->DeliverWords(beepers, fast_words, n, WordMode::kFast,
-                                   fast_rng);
-        compat_channel->DeliverWords(beepers, compat_words, n,
-                                     WordMode::kStreamCompat, compat_rng);
-        ASSERT_EQ(fast_words, compat_words)
-            << fast_channel->name() << " n=" << n;
-      }
-      EXPECT_EQ(fast_rng.SaveState(), compat_rng.SaveState())
-          << fast_channel->name() << " n=" << n;
+      ExpectWordPathMatchesScalar(*AllChannels()[c], *AllChannels()[c], n);
     }
   }
 }
@@ -154,71 +120,6 @@ TEST(ChannelWords, StreamCompatIndependentDrawCountIsOnePerListener) {
   }
 }
 
-TEST(ChannelWords, FastIndependentZeroEpsilonConsumesNoRandomness) {
-  const IndependentNoisyChannel channel(0.0);
-  const std::int64_t n = 190;
-  Rng rng(kSeed);
-  const auto before = rng.SaveState();
-  std::vector<std::uint64_t> words(WordsForParties(n), ~std::uint64_t{0});
-  channel.DeliverWords(0, words, n, WordMode::kFast, rng);
-  EXPECT_EQ(rng.SaveState(), before);
-  for (const std::uint64_t w : words) EXPECT_EQ(w, 0u);
-  channel.DeliverWords(n, words, n, WordMode::kFast, rng);
-  EXPECT_EQ(rng.SaveState(), before);
-  EXPECT_EQ(words.back() & ~TailWordMask(n), 0u);
-  std::int64_t ones = 0;
-  for (const std::uint64_t w : words) ones += std::popcount(w);
-  EXPECT_EQ(ones, n);
-}
-
-// The fast path must sample each lane from the identical fixed-point
-// Bernoulli(eps) marginal the scalar path uses, in both regimes: the
-// geometric skip walk (64 * eps < 1) and the bit-sliced word draws.
-TEST(ChannelWords, FastIndependentFlipRateMatchesEpsilon) {
-  for (const double eps : {0.004, 0.2}) {
-    const IndependentNoisyChannel channel(eps);
-    const std::int64_t n = 190;
-    Rng rng(kSeed);
-    std::vector<std::uint64_t> words(WordsForParties(n), 0);
-    std::int64_t flips = 0;
-    const int rounds = eps < 0.01 ? 40000 : 4000;
-    for (int r = 0; r < rounds; ++r) {
-      channel.DeliverWords(0, words, n, WordMode::kFast, rng);
-      ASSERT_EQ(words.back() & ~TailWordMask(n), 0u);
-      for (const std::uint64_t w : words) flips += std::popcount(w);
-    }
-    const double total = static_cast<double>(rounds) * static_cast<double>(n);
-    const double rate = static_cast<double>(flips) / total;
-    // ~5 sigma of the binomial around eps.
-    const double sigma = std::sqrt(eps * (1.0 - eps) / total);
-    EXPECT_NEAR(rate, eps, 5.0 * sigma) << "eps=" << eps;
-  }
-}
-
-// A fast-mode skip walk crossing word boundaries must flip each selected
-// position exactly once: flipping the all-ones input back yields the
-// complement of the all-zeros run under the same seed.
-TEST(ChannelWords, FastIndependentSkipWalkStraddlesWordsWithoutDoubleDraw) {
-  const IndependentNoisyChannel channel(0.004);
-  const std::int64_t n = 190;
-  Rng rng_a(kSeed);
-  Rng rng_b(kSeed);
-  std::vector<std::uint64_t> silent(WordsForParties(n), 0);
-  std::vector<std::uint64_t> beeped(WordsForParties(n), 0);
-  for (int r = 0; r < 2000; ++r) {
-    channel.DeliverWords(0, silent, n, WordMode::kFast, rng_a);
-    channel.DeliverWords(1, beeped, n, WordMode::kFast, rng_b);
-    // Same seed, same flips: received = or_bit ^ flips, so the two runs
-    // are exact complements on the valid lanes.
-    for (std::size_t w = 0; w < silent.size(); ++w) {
-      const std::uint64_t mask =
-          w + 1 == silent.size() ? TailWordMask(n) : ~std::uint64_t{0};
-      ASSERT_EQ(silent[w] & mask, ~beeped[w] & mask) << "round " << r;
-    }
-  }
-  EXPECT_EQ(rng_a.SaveState(), rng_b.SaveState());
-}
-
 TEST(ChannelWords, ByteAdapterAgreesThroughADecorator) {
   // RecordingChannel forwards DeliverWords to its inner channel and
   // inherits the base-class byte adapter; the two views must agree bit
@@ -229,8 +130,7 @@ TEST(ChannelWords, ByteAdapterAgreesThroughADecorator) {
     // Fresh recorders per n: the trace is per-run state.
     const RecordingChannel scalar_recording(scalar_inner);
     const RecordingChannel word_recording(word_inner);
-    ExpectWordPathMatchesScalar(scalar_recording, word_recording, n,
-                                WordMode::kStreamCompat, 8);
+    ExpectWordPathMatchesScalar(scalar_recording, word_recording, n, 8);
   }
 }
 
@@ -249,9 +149,11 @@ TEST(ChannelWords, RecordingAndReplayRoundTripOnWords) {
   const ReplayChannel replay(recording.trace(), inner.is_correlated());
   Rng unused(1);
   for (int r = 0; r < 16; ++r) {
-    replay.DeliverWords(BeepersAt(r, n), words, n, WordMode::kFast, unused);
+    replay.DeliverWords(BeepersAt(r, n), words, n, WordMode::kStreamCompat,
+                        unused);
     EXPECT_EQ(words, rounds[static_cast<std::size_t>(r)]) << "round " << r;
   }
+  EXPECT_EQ(unused.SaveState(), Rng(1).SaveState());  // replay draws nothing
 }
 
 TEST(ChannelWords, RoundWordsSharesAccountingWithRound) {
@@ -342,12 +244,12 @@ TEST(ChannelWords, FaultyRoundEngineWordPathMatchesScalarPath) {
 
 TEST(ChannelWords, MegaRoundRunsAtMillionsOfParties) {
   // The point of the word path: a round over 2^20 parties is a routine
-  // operation.  Fast mode, dense regime; spot-check the flip rate.
+  // operation: 2^20 sampler draws, one per listener.  Spot-check the flip
+  // rate.
   const IndependentNoisyChannel channel(0.2);
   const std::int64_t n = std::int64_t{1} << 20;
   Rng rng(kSeed);
   RoundEngine engine(channel, rng, n);
-  engine.SetWordMode(WordMode::kFast);
   std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
   const auto received = engine.RoundWords(beeps);
   std::int64_t ones = 0;
@@ -406,14 +308,18 @@ TEST(ChannelWords, DeliverWordsValidatesItsPreconditions) {
   const CorrelatedNoisyChannel channel(0.1);
   Rng rng(kSeed);
   std::vector<std::uint64_t> words(2, 0);
-  EXPECT_THROW(channel.DeliverWords(0, words, 0, WordMode::kFast, rng),
-               std::invalid_argument);
-  EXPECT_THROW(channel.DeliverWords(5, words, 4, WordMode::kFast, rng),
-               std::invalid_argument);
-  EXPECT_THROW(channel.DeliverWords(-1, words, 70, WordMode::kFast, rng),
-               std::invalid_argument);
-  EXPECT_THROW(channel.DeliverWords(0, words, 300, WordMode::kFast, rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      channel.DeliverWords(0, words, 0, WordMode::kStreamCompat, rng),
+      std::invalid_argument);
+  EXPECT_THROW(
+      channel.DeliverWords(5, words, 4, WordMode::kStreamCompat, rng),
+      std::invalid_argument);
+  EXPECT_THROW(
+      channel.DeliverWords(-1, words, 70, WordMode::kStreamCompat, rng),
+      std::invalid_argument);
+  EXPECT_THROW(
+      channel.DeliverWords(0, words, 300, WordMode::kStreamCompat, rng),
+      std::invalid_argument);
 }
 
 }  // namespace

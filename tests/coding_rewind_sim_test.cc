@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <string>
+
 #include "channel/correlated.h"
 #include "channel/noiseless.h"
 #include "channel/one_sided.h"
@@ -160,6 +166,93 @@ TEST(RewindSim, TwoSidedOverheadIsLogarithmic) {
     EXPECT_GE(per_log_n, 3.0) << "n=" << n;
     previous = per_log_n;
   }
+}
+
+// Runs `protocol` under `options` on the noiseless channel, where no chunk
+// is ever retried, and checks that each phase spent exactly the rounds in
+// `want` and nothing else ran.  Returns the total.
+std::int64_t NoiselessRounds(const Protocol& protocol,
+                             const RewindSimOptions& options,
+                             const std::map<std::string, std::int64_t>& want) {
+  Rng rng(1);
+  const SimulationResult result =
+      RewindSimulator(options).Simulate(protocol, NoiselessChannel(), rng);
+  EXPECT_TRUE(result.AllMatch(ReferenceTranscript(protocol)));
+  EXPECT_EQ(result.phase_rounds, want)
+      << "n=" << protocol.num_parties() << " T=" << protocol.length();
+  std::int64_t total = 0;
+  for (const auto& [phase, rounds] : want) total += rounds;
+  EXPECT_EQ(result.noisy_rounds_used, total);
+  return result.noisy_rounds_used;
+}
+
+// The two-sided defaults, with k = ceil(log2(max(n, 2))): a chunk of c
+// protocol rounds costs
+//   chunk-sim      c * (3k + 1)          every round repeated rep_c * k + 1
+//   owner-finding  (c + n) * 6 * (ceil(log2(c + 1)) + 1)
+//                                        c + n codewords, length factor 6
+//   verify-flags   4k + 8
+// and every phase sums its term over the chunks.
+std::int64_t TwoSidedNoiselessRounds(const Protocol& protocol,
+                                     int chunk_len) {
+  const std::int64_t n = protocol.num_parties();
+  const std::int64_t T = protocol.length();
+  const std::int64_t k =
+      CeilLog2(static_cast<std::uint64_t>(std::max<std::int64_t>(n, 2)));
+  const std::int64_t full_chunk = chunk_len > 0 ? chunk_len : n;
+  std::map<std::string, std::int64_t> want;
+  for (std::int64_t start = 0; start < T; start += full_chunk) {
+    const std::int64_t c = std::min(full_chunk, T - start);
+    want["chunk-sim"] += c * (3 * k + 1);
+    want["owner-finding"] +=
+        (c + n) * 6 * (CeilLog2(static_cast<std::uint64_t>(c + 1)) + 1);
+    want["verify-flags"] += 4 * k + 8;
+  }
+  RewindSimOptions options;
+  options.chunk_len = chunk_len;
+  return NoiselessRounds(protocol, options, want);
+}
+
+// The down-only preset: chunks of 8, no repetition, no owner phase and 5
+// flag rounds a chunk, so T + 5 * ceil(T / 8).
+std::int64_t DownOnlyNoiselessRounds(const Protocol& protocol) {
+  const std::int64_t T = protocol.length();
+  return NoiselessRounds(
+      protocol, RewindSimOptions::DownOnly(),
+      {{"chunk-sim", T}, {"verify-flags", 5 * ((T + 7) / 8)}});
+}
+
+TEST(RewindSim, NoiselessRoundCountIsClosedForm) {
+  // InputSet (T = 2n) as `nbsim` reads it at these n, powers of two and
+  // not.  BitExchange with 8-bit payloads (T = 8n) runs four times as many
+  // chunks of the same length two-sided, and 13n rounds down-only.
+  const int ns[] = {2, 3, 8, 65, 100, 128, 300};
+  const std::int64_t two_sided[] = {184,   290,   1160, 15412,
+                                    23672, 33352, 88888};
+  const std::int64_t down_only[] = {9, 11, 26, 215, 325, 416, 975};
+  for (std::size_t i = 0; i < std::size(ns); ++i) {
+    const int n = ns[i];
+    Rng rng(static_cast<std::uint64_t>(n));
+    const InputSetInstance input_set = SampleInputSet(n, rng);
+    const BitExchangeInstance bit_exchange = SampleBitExchange(n, 8, rng);
+    const auto input_set_protocol = MakeInputSetProtocol(input_set);
+    const auto bit_exchange_protocol = MakeBitExchangeProtocol(bit_exchange);
+    EXPECT_EQ(TwoSidedNoiselessRounds(*input_set_protocol, 0), two_sided[i])
+        << "n=" << n;
+    EXPECT_EQ(TwoSidedNoiselessRounds(*bit_exchange_protocol, 0),
+              4 * two_sided[i])
+        << "n=" << n;
+    EXPECT_EQ(DownOnlyNoiselessRounds(*input_set_protocol), down_only[i])
+        << "n=" << n;
+    EXPECT_EQ(DownOnlyNoiselessRounds(*bit_exchange_protocol), 13 * n)
+        << "n=" << n;
+  }
+  // A chunk length that does not divide T: n = 8, T = 16 in chunks of
+  // 7, 7 and 2 -> 2 * 450 + 220.
+  Rng rng(8);
+  const InputSetInstance instance = SampleInputSet(8, rng);
+  EXPECT_EQ(TwoSidedNoiselessRounds(*MakeInputSetProtocol(instance), 7),
+            1120);
 }
 
 TEST(RewindSim, TinyBudgetExhaustsGracefully) {

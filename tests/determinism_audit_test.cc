@@ -463,62 +463,50 @@ TEST(DeterminismAudit, FingerprintsVaryAcrossTrials) {
   EXPECT_GT(distinct, 0);
 }
 
-// The word-parallel round path (this PR): a packed-word workload over the
+// The word-parallel round path: a packed-word workload over the
 // independent channel at a party count that straddles word boundaries,
-// audited in BOTH stream modes and again under a FaultPlan.  Same seed
-// ==> identical received-word fingerprints at every worker count; the
-// fast path's batched sampling must be exactly as deterministic as the
-// scalar path it replaces.
+// audited bare and again under a FaultPlan.  Same seed ==> identical
+// received-word fingerprints at every worker count.
 TEST(DeterminismAudit, WordParallelRounds) {
-  for (WordMode mode : {WordMode::kStreamCompat, WordMode::kFast}) {
-    const std::uint64_t seed =
-        mode == WordMode::kStreamCompat ? 1201 : 1202;
-    AuditWorkload("word-parallel-rounds", seed, [mode](int, Rng& rng) {
-      constexpr std::int64_t kParties = 200;  // 3 words + a 8-bit tail
-      const IndependentNoisyChannel channel(0.05);
-      RoundEngine engine(channel, rng, kParties);
-      engine.SetWordMode(mode);
-      std::vector<std::uint64_t> beeps(WordsForParties(kParties), 0);
-      Fingerprint fp;
-      for (int r = 0; r < 32; ++r) {
-        // A stochastic beep pattern, masked to the valid lanes.
-        for (std::uint64_t& w : beeps) w = rng.NextU64();
-        beeps.back() &= TailWordMask(kParties);
-        for (std::uint64_t w : engine.RoundWords(beeps)) fp.Mix(w);
-      }
-      fp.Mix(static_cast<std::uint64_t>(engine.rounds_used()));
-      return fp.value();
-    });
-  }
+  AuditWorkload("word-parallel-rounds", 1201, [](int, Rng& rng) {
+    constexpr std::int64_t kParties = 200;  // 3 words + a 8-bit tail
+    const IndependentNoisyChannel channel(0.05);
+    RoundEngine engine(channel, rng, kParties);
+    std::vector<std::uint64_t> beeps(WordsForParties(kParties), 0);
+    Fingerprint fp;
+    for (int r = 0; r < 32; ++r) {
+      // A stochastic beep pattern, masked to the valid lanes.
+      for (std::uint64_t& w : beeps) w = rng.NextU64();
+      beeps.back() &= TailWordMask(kParties);
+      for (std::uint64_t w : engine.RoundWords(beeps)) fp.Mix(w);
+    }
+    fp.Mix(static_cast<std::uint64_t>(engine.rounds_used()));
+    return fp.value();
+  });
 }
 
 TEST(DeterminismAudit, FaultedWordParallelRounds) {
   // The fault layer's word path rides the same contract: babbler streams
   // derive from the plan seed, crash/stuck/deaf masks are functions of
   // the round index, so a faulted word workload audits like a clean one.
-  for (WordMode mode : {WordMode::kStreamCompat, WordMode::kFast}) {
-    const std::uint64_t seed =
-        mode == WordMode::kStreamCompat ? 1301 : 1302;
-    AuditWorkload("faulted-word-rounds", seed, [mode](int, Rng& rng) {
-      constexpr std::int64_t kParties = 130;
-      const IndependentNoisyChannel channel(0.05);
-      FaultPlan plan(4242);
-      plan.CrashStop(3, 20)
-          .StuckBeeper(64, 0, 15)
-          .Babbler(70, 2, 28, 0.6)
-          .DeafReceiver(129, 0, 10);
-      FaultyRoundEngine engine(channel, rng, kParties, plan);
-      engine.SetWordMode(mode);
-      std::vector<std::uint64_t> beeps(WordsForParties(kParties), 0);
-      Fingerprint fp;
-      for (int r = 0; r < 32; ++r) {
-        for (std::uint64_t& w : beeps) w = rng.NextU64();
-        beeps.back() &= TailWordMask(kParties);
-        for (std::uint64_t w : engine.RoundWords(beeps)) fp.Mix(w);
-      }
-      return fp.value();
-    });
-  }
+  AuditWorkload("faulted-word-rounds", 1301, [](int, Rng& rng) {
+    constexpr std::int64_t kParties = 130;
+    const IndependentNoisyChannel channel(0.05);
+    FaultPlan plan(4242);
+    plan.CrashStop(3, 20)
+        .StuckBeeper(64, 0, 15)
+        .Babbler(70, 2, 28, 0.6)
+        .DeafReceiver(129, 0, 10);
+    FaultyRoundEngine engine(channel, rng, kParties, plan);
+    std::vector<std::uint64_t> beeps(WordsForParties(kParties), 0);
+    Fingerprint fp;
+    for (int r = 0; r < 32; ++r) {
+      for (std::uint64_t& w : beeps) w = rng.NextU64();
+      beeps.back() &= TailWordMask(kParties);
+      for (std::uint64_t w : engine.RoundWords(beeps)) fp.Mix(w);
+    }
+    return fp.value();
+  });
 }
 
 }  // namespace

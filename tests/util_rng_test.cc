@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -231,105 +230,6 @@ TEST(Rng, BernoulliThresholdEndpoints) {
   EXPECT_THROW((void)BernoulliThreshold(-0.1), std::invalid_argument);
   EXPECT_THROW((void)BernoulliThreshold(1.5), std::invalid_argument);
   EXPECT_THROW(BernoulliSampler(2.0), std::invalid_argument);
-}
-
-// --- BernoulliWordSampler: 64 exact Bernoulli lanes per call -------------
-
-TEST(BernoulliWordSampler, EndpointsConsumeNoRandomness) {
-  Rng rng(7);
-  const auto before = rng.SaveState();
-  BernoulliWordSampler zero(0.0);
-  EXPECT_EQ(zero.NoiseWord(rng), 0u);
-  EXPECT_EQ(rng.SaveState(), before);
-  BernoulliWordSampler one(1.0);
-  EXPECT_EQ(one.NoiseWord(rng), ~std::uint64_t{0});
-  EXPECT_EQ(rng.SaveState(), before);
-}
-
-TEST(BernoulliWordSampler, DeterministicFromTheSameState) {
-  BernoulliWordSampler sampler(0.3);
-  Rng a(99);
-  Rng b(99);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(sampler.NoiseWord(a), sampler.NoiseWord(b));
-  }
-}
-
-TEST(BernoulliWordSampler, LaneMarginalMatchesTheProbability) {
-  // Each of the 64 lanes must be Bernoulli(p) exactly; check the pooled
-  // empirical rate against a 5-sigma band.
-  for (double p : {0.05, 0.5, 0.9}) {
-    BernoulliWordSampler sampler(p);
-    Rng rng(20260808);
-    const int kWords = 4000;
-    std::int64_t ones = 0;
-    for (int i = 0; i < kWords; ++i) {
-      ones += std::popcount(sampler.NoiseWord(rng));
-    }
-    const double trials = 64.0 * kWords;
-    const double sigma = std::sqrt(p * (1.0 - p) * trials);
-    EXPECT_NEAR(static_cast<double>(ones), p * trials, 5.0 * sigma)
-        << "p=" << p;
-  }
-}
-
-TEST(BernoulliWordSampler, LanesAreIndependentAcrossCalls) {
-  // Adjacent words must not be correlated: the XOR of two consecutive
-  // draws at p=0.5 is itself Bernoulli(0.5) per lane.
-  BernoulliWordSampler sampler(0.5);
-  Rng rng(11);
-  std::int64_t ones = 0;
-  const int kPairs = 2000;
-  for (int i = 0; i < kPairs; ++i) {
-    ones += std::popcount(sampler.NoiseWord(rng) ^ sampler.NoiseWord(rng));
-  }
-  const double trials = 64.0 * kPairs;
-  const double sigma = std::sqrt(0.25 * trials);
-  EXPECT_NEAR(static_cast<double>(ones), 0.5 * trials, 5.0 * sigma);
-}
-
-// --- GeometricSkipSampler: gaps between Bernoulli successes --------------
-
-TEST(GeometricSkipSampler, EndpointsConsumeNoRandomness) {
-  Rng rng(7);
-  const auto before = rng.SaveState();
-  GeometricSkipSampler never(0.0);
-  EXPECT_EQ(never.NextGap(rng), GeometricSkipSampler::kNoSuccess);
-  EXPECT_EQ(rng.SaveState(), before);
-  GeometricSkipSampler always(1.0);
-  EXPECT_EQ(always.NextGap(rng), 0u);
-  EXPECT_EQ(rng.SaveState(), before);
-}
-
-TEST(GeometricSkipSampler, MeanGapMatchesTheGeometricDistribution) {
-  // E[gap] = (1-p)/p for the number of failures before a success.
-  for (double p : {0.5, 0.05, 0.004}) {
-    GeometricSkipSampler sampler(p);
-    Rng rng(20260808);
-    const int kDraws = 20000;
-    double sum = 0.0;
-    for (int i = 0; i < kDraws; ++i) {
-      const std::uint64_t gap = sampler.NextGap(rng);
-      ASSERT_NE(gap, GeometricSkipSampler::kNoSuccess);
-      sum += static_cast<double>(gap);
-    }
-    const double mean = sum / kDraws;
-    const double expect = (1.0 - p) / p;
-    // Var[gap] = (1-p)/p^2; 5-sigma band on the sample mean.
-    const double sigma = std::sqrt((1.0 - p) / (p * p) / kDraws);
-    EXPECT_NEAR(mean, expect, 5.0 * sigma) << "p=" << p;
-  }
-}
-
-TEST(GeometricSkipSampler, OneDrawPerGap) {
-  GeometricSkipSampler sampler(0.01);
-  Rng a(5);
-  Rng b(5);
-  for (int i = 0; i < 100; ++i) {
-    (void)sampler.NextGap(a);
-    (void)b.NextU64();
-  }
-  EXPECT_EQ(a.SaveState(), b.SaveState());
 }
 
 }  // namespace
