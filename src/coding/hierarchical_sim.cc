@@ -1,5 +1,7 @@
 #include "coding/hierarchical_sim.h"
 
+#include <utility>
+
 #include "coding/sim_common.h"
 #include "util/math.h"
 #include "util/require.h"
@@ -7,7 +9,7 @@
 namespace noisybeeps {
 
 HierarchicalSimulator::HierarchicalSimulator(HierarchicalSimOptions options)
-    : options_(options) {
+    : options_(std::move(options)), flat_(options_.base) {
   NB_REQUIRE(options_.audit_flag_base >= 0 && options_.audit_flag_slope >= 0,
              "negative audit parameter");
 }
@@ -17,17 +19,16 @@ SimulationResult HierarchicalSimulator::Simulate(const Protocol& protocol,
                                                  const FaultPlan& faults,
                                                  Rng& rng) const {
   const int n = protocol.num_parties();
-  const RewindSimulator flat(options_.base);  // the chunk parameters
   const internal::AuditSchedule audits{
       .base = options_.audit_flag_base > 0 ? options_.audit_flag_base
-                                           : flat.EffectiveFlagReps(n),
+                                           : flat_.EffectiveFlagReps(n),
       .slope = options_.audit_flag_slope};
   const std::int64_t max_rounds =
       options_.base.max_rounds > 0
           ? options_.base.max_rounds
           : 400LL * (protocol.length() + 64) *
                 (CeilLog2(static_cast<std::uint64_t>(n < 2 ? 2 : n)) + 2);
-  return internal::RunChunkLoop(protocol, channel, faults, rng, flat,
+  return internal::RunChunkLoop(protocol, channel, faults, rng, flat_,
                                 max_rounds, &audits);
 }
 

@@ -59,6 +59,9 @@ class HierarchicalSimulator final : public Simulator {
 
  private:
   HierarchicalSimOptions options_;
+  // The flat scheme over options_.base: the chunk parameters, and the owner
+  // codes every trial of this simulator shares.
+  RewindSimulator flat_;
 };
 
 }  // namespace noisybeeps

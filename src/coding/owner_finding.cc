@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <span>
 #include <utility>
 
@@ -17,7 +18,7 @@ constexpr std::size_t kBlock = BitString::kWordBits;
 // party's input and the bits it received, never from other parties' state.
 struct LocalState {
   explicit LocalState(std::size_t chunk_len)
-      : claimed(chunk_len, 0), owner(chunk_len, -1) {}
+      : claimed((chunk_len + kBlock - 1) / kBlock, 0), owner(chunk_len, -1) {}
 
   // The update from one decoded message: Next passes the turn, any other
   // message is a round the turn-holder claims.
@@ -26,33 +27,40 @@ struct LocalState {
       ++turn;
     } else {
       const auto j = static_cast<std::size_t>(sigma);
-      claimed[j] = 1;
+      claimed[j / kBlock] |= std::uint64_t{1} << (j % kBlock);
       owner[j] = turn;
     }
   }
 
-  int turn = 0;                    // whose turn this party believes it is
-  std::vector<std::uint8_t> claimed;  // rounds this party has seen claimed
-  std::vector<int> owner;          // recorded owners, -1 = none
+  int turn = 0;  // whose turn this party believes it is
+  // Rounds this party has seen claimed, packed like BitString::words().
+  std::vector<std::uint64_t> claimed;
+  std::vector<int> owner;  // recorded owners, -1 = none
 };
 
-// The smallest round this party can still claim, or the Next token.
+// The smallest round this party can still claim (it beeped there, its
+// view has a 1 there, and nobody has claimed it), or the Next token.
 std::uint64_t NextMessage(int party, const LocalState& state,
                           const BitString& pi_view, const BitString& beeped,
                           const BeepCode& code) {
   if (state.turn == party) {
-    for (std::size_t j = 0; j < beeped.size(); ++j) {
-      if (beeped[j] && pi_view[j] && state.claimed[j] == 0) {
-        return j;
+    const std::span<const std::uint64_t> beeps = beeped.words();
+    const std::span<const std::uint64_t> view = pi_view.words();
+    for (std::size_t k = 0; k < beeps.size(); ++k) {
+      const std::uint64_t open = beeps[k] & view[k] & ~state.claimed[k];
+      if (open != 0) {
+        return k * kBlock + static_cast<std::size_t>(std::countr_zero(open));
       }
     }
   }
   return code.next_token();
 }
 
-// A party that transmits this iteration, and the codeword it beeps.
+// A party that transmits this iteration, the message it sends, and the
+// codeword it beeps.
 struct Speaker {
   int party;
+  std::uint64_t message;
   std::span<const std::uint64_t> codeword;
 };
 
@@ -73,15 +81,17 @@ void Transpose64(std::array<std::uint64_t, kBlock>& rows) {
 // Every party hears each round alike, so every party decodes the same word
 // and applies the same update to the same initial state: one state stands
 // for all n.  Party `turn` alone speaks, from its own view and beeps, and
-// each codeword bit is one shared round.
-std::vector<int> SharedOwners(RoundEngine& engine, const BeepCode& code,
-                              const std::vector<BitString>& pi_view,
-                              const std::vector<BitString>& beeped) {
+// its codeword is one SharedWordRounds call.  The message it sent is the
+// decode's hint, which the received word certifies unless the channel
+// flipped close to half the code's minimum distance.
+OwnerFindingResult SharedOwners(RoundEngine& engine, const BeepCode& code,
+                                const std::vector<BitString>& pi_view,
+                                const std::vector<BitString>& beeped) {
   const auto n = static_cast<int>(engine.num_parties());
   const CodebookCode& book = code.codebook();
   const std::size_t word_len = code.codeword_length();
   LocalState state(code.chunk_len());
-  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
+  std::int64_t full_scans = 0;
   std::vector<std::uint64_t> received(book.words_per_codeword());
   const int iterations = code.chunk_len() + n;
   for (int l = 0; l < iterations; ++l) {
@@ -89,26 +99,18 @@ std::vector<int> SharedOwners(RoundEngine& engine, const BeepCode& code,
     if (speaker >= n) {
       // Every party has passed the turn (earlier after decoding errors):
       // nobody speaks again, but the remaining rounds still run.
-      const auto silent = static_cast<std::size_t>(iterations - l) * word_len;
-      for (std::size_t t = 0; t < silent; ++t) {
-        (void)engine.RepeatRound(beeps, 1, FlagRule::kMajority);
+      const std::vector<std::uint64_t> silence(received.size(), 0);
+      for (; l < iterations; ++l) {
+        engine.SharedWordRounds(silence, word_len, received);
       }
       break;
     }
-    const std::span<const std::uint64_t> codeword = book.CodewordWords(
-        NextMessage(speaker, state, pi_view[speaker], beeped[speaker], code));
-    std::fill(received.begin(), received.end(), 0);
-    for (std::size_t t = 0; t < word_len; ++t) {
-      SetPackedBit(beeps, speaker,
-                   ((codeword[t / kBlock] >> (t % kBlock)) & 1u) != 0);
-      const bool heard =
-          PackedBit(engine.RepeatRound(beeps, 1, FlagRule::kMajority), 0);
-      received[t / kBlock] |= std::uint64_t{heard} << (t % kBlock);
-    }
-    SetPackedBit(beeps, speaker, false);
-    state.Apply(book.DecodeWords(received), code);
+    const std::uint64_t message =
+        NextMessage(speaker, state, pi_view[speaker], beeped[speaker], code);
+    engine.SharedWordRounds(book.CodewordWords(message), word_len, received);
+    state.Apply(book.DecodeWords(received, message, &full_scans), code);
   }
-  return std::move(state.owner);
+  return {std::vector<std::vector<int>>(n, state.owner), full_scans};
 }
 
 }  // namespace
@@ -129,8 +131,7 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
 
   engine.SetPhase("owner-finding");
   if (engine.shares_rounds()) {
-    return {std::vector<std::vector<int>>(
-        n, SharedOwners(engine, code, pi_view, beeped))};
+    return SharedOwners(engine, code, pi_view, beeped);
   }
 
   std::vector<LocalState> state(n, LocalState(chunk_len));
@@ -148,6 +149,7 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
   // party i's received codeword.
   std::vector<std::uint64_t> received(party_words * kBlock * stride);
   std::array<std::uint64_t, kBlock> block{};
+  OwnerFindingResult result;
 
   for (int l = 0; l < iterations; ++l) {
     // Transmission: each party that believes it holds the turn beeps its
@@ -158,8 +160,9 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
     speakers.clear();
     for (int i = 0; i < n; ++i) {
       if (state[i].turn == i) {
-        speakers.push_back({i, book.CodewordWords(NextMessage(
-                                   i, state[i], pi_view[i], beeped[i], code))});
+        const std::uint64_t message =
+            NextMessage(i, state[i], pi_view[i], beeped[i], code);
+        speakers.push_back({i, message, book.CodewordWords(message)});
       }
     }
     for (std::size_t t = 0; t < word_len; ++t) {
@@ -189,10 +192,14 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
       }
     }
     // Decoding + state update, per party, from that party's received bits.
-    // Decoding is a pure function of the word, so a party that received
-    // the word decoded last reuses its message: on a channel every party
-    // hears alike that the engine does not share (a record or replay
-    // wrapper) that is every party after the first.
+    // The first speaker's message is every decode's hint: whichever hint
+    // is given, the decode is the nearest codeword to the party's own
+    // word.  Decoding is a pure function of the word, so a party that
+    // received the word decoded last reuses its message: on a channel every
+    // party hears alike that the engine does not share (a record or replay
+    // wrapper, a fault plan) that is every party after the first.
+    const std::uint64_t hint =
+        speakers.empty() ? code.next_token() : speakers.front().message;
     const std::uint64_t* decoded = nullptr;
     std::uint64_t sigma = 0;
     for (int i = 0; i < n; ++i) {
@@ -203,14 +210,13 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
       const std::uint64_t* word =
           received.data() + static_cast<std::size_t>(i) * stride;
       if (decoded == nullptr || !std::equal(word, word + stride, decoded)) {
-        sigma = book.DecodeWords({word, stride});
+        sigma = book.DecodeWords({word, stride}, hint, &result.full_scans);
         decoded = word;
       }
       state[i].Apply(sigma, code);
     }
   }
 
-  OwnerFindingResult result;
   result.owners.reserve(n);
   for (int i = 0; i < n; ++i) result.owners.push_back(std::move(state[i].owner));
   return result;

@@ -20,14 +20,21 @@
 //
 // So when the engine shares rounds (RoundEngine::shares_rounds), one state
 // stands for every party: the turn-holder alone speaks, from its own view
-// and beeps, each codeword bit is one shared round, and one decode serves
-// all n parties.  It runs the same rounds and draws, and returns the same
-// owners, as the per-party path would on that engine.  Any other engine
-// runs the per-party path: each party keeps its own state and decodes the
-// bits it received.
+// and beeps, its codeword is one RoundEngine::SharedWordRounds call, and
+// one decode serves all n parties.  It runs the same rounds and draws, and
+// returns the same owners, as the per-party path would on that engine.
+// Any other engine runs the per-party path: each party keeps its own state
+// and decodes the bits it received.
+//
+// Every decode is exact ML, but starts from a hint: the message the (first)
+// speaker sent.  When the received word lies within half the code's
+// minimum distance of the hint's codeword, that codeword is certified as
+// the unique nearest and the scan over the book is skipped
+// (CodebookCode::DecodeWords with a hint).
 #ifndef NOISYBEEPS_CODING_OWNER_FINDING_H_
 #define NOISYBEEPS_CODING_OWNER_FINDING_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "coding/beep_code.h"
@@ -39,6 +46,9 @@ struct OwnerFindingResult {
   // owners[i][m]: party i's record of the owner of chunk round m
   // (-1 = no owner recorded).
   std::vector<std::vector<int>> owners;
+  // Decodes that the hint did not certify, so that scanned the whole book:
+  // a count of work, not part of the outcome.
+  std::int64_t full_scans = 0;
 };
 
 // Preconditions: pi_view and beeped have one entry per party, all of the

@@ -39,6 +39,20 @@ int RewindSimulator::EffectiveFlagReps(int n) const {
   return 4 * CeilLog2(static_cast<std::uint64_t>(n < 2 ? 2 : n)) + 8;
 }
 
+const BeepCode& RewindSimulator::OwnerCode(int chunk_len) const {
+  const std::lock_guard<std::mutex> lock(codes_mutex_);
+  auto it = codes_.find(chunk_len);
+  if (it == codes_.end()) {
+    it = codes_
+             .emplace(chunk_len,
+                      BeepCode(chunk_len, options_.code_length_factor,
+                               options_.code_seed +
+                                   static_cast<std::uint64_t>(chunk_len)))
+             .first;
+  }
+  return it->second;
+}
+
 SimulationResult RewindSimulator::Simulate(const Protocol& protocol,
                                            const Channel& channel,
                                            const FaultPlan& faults,

@@ -23,6 +23,10 @@
 #ifndef NOISYBEEPS_CODING_REWIND_SIM_H_
 #define NOISYBEEPS_CODING_REWIND_SIM_H_
 
+#include <map>
+#include <mutex>
+
+#include "coding/beep_code.h"
 #include "coding/simulator.h"
 #include "coding/verification.h"
 
@@ -96,8 +100,20 @@ class RewindSimulator final : public Simulator {
   [[nodiscard]] int EffectiveRepFactor(int n) const;
   [[nodiscard]] int EffectiveFlagReps(int n) const;
 
+  // The owner phase's code for chunks of `chunk_len` rounds:
+  // BeepCode(chunk_len, code_length_factor, code_seed + chunk_len), part
+  // of the protocol description.  Built on first use and kept, so every
+  // later trial and worker of this simulator reads the same immutable
+  // code.  Thread-safe; the reference stays valid while the simulator
+  // lives.  Precondition: chunk_len >= 1.
+  [[nodiscard]] const BeepCode& OwnerCode(int chunk_len) const;
+
  private:
   RewindSimOptions options_;
+  mutable std::mutex codes_mutex_;
+  // Guarded by codes_mutex_.  Map nodes never move, so handed-out
+  // references survive later insertions.
+  mutable std::map<int, BeepCode> codes_;
 };
 
 }  // namespace noisybeeps

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <span>
 
 #include "coding/chunk_sim.h"
@@ -151,9 +150,6 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
   // owner-finding phase (and its beep code) is skipped entirely.
   const bool find_owners =
       options.regime == NoiseRegime::kTwoSided && !options.scheduled();
-  // Beep codes are deterministic functions of (chunk length, seed): part
-  // of the protocol description, shared by all parties.
-  std::map<int, BeepCode> codes;
 
   std::int64_t commits = 0;
   int start = 0;
@@ -177,18 +173,8 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
     }
 
     const int chunk_len = std::min(base_chunk, T - start);
-    const BeepCode* code = nullptr;
-    if (find_owners) {
-      auto it = codes.find(chunk_len);
-      if (it == codes.end()) {
-        it = codes
-                 .emplace(chunk_len,
-                          BeepCode(chunk_len, options.code_length_factor,
-                                   options.code_seed + chunk_len))
-                 .first;
-      }
-      code = &it->second;
-    }
+    const BeepCode* code =
+        find_owners ? &scheme.OwnerCode(chunk_len) : nullptr;
     ChunkAttempt attempt =
         SimulateChunkInPlace(protocol, state.committed, start, chunk_len,
                              rep_factor, code, engine);

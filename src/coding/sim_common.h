@@ -125,10 +125,11 @@ struct AuditSchedule {
 
 // The rewind-if-error chunk loop, with the chunk parameters `scheme`
 // resolves for the protocol's n.  Per chunk attempt: simulate the chunk
-// straight onto the committed transcripts (with the owner phase when the
-// options call for one, or the schedule's owners), verify it from the
-// beeps recorded while simulating it, exchange flags, and on party 0's
-// verdict either commit (append the attempt's beeps and owners) or rewind
+// straight onto the committed transcripts (with the owner phase on the
+// scheme's OwnerCode when the options call for one, or the schedule's
+// owners), verify it from the beeps recorded while simulating it, exchange
+// flags, and on party 0's verdict either commit (append the attempt's
+// beeps and owners) or rewind
 // (truncate the transcripts back to the chunk's start).  With `audits`
 // (the hierarchical scheme) the loop also runs the schedule's audits and
 // ends at a passed final audit; without (the flat scheme) it ends at its

@@ -35,19 +35,27 @@ std::size_t Distance(const std::uint64_t* a, const std::uint64_t* b,
   return d;
 }
 
-// True iff `word` is one of the codewords packed in `book`.
-bool Contains(std::span<const std::uint64_t> book,
-              std::span<const std::uint64_t> word) {
+// The smallest distance from `word` to a codeword packed in `book`
+// (SIZE_MAX for an empty book): 0 iff the book holds `word`.  Building a
+// book visits every pair of its words once this way, so the minimum
+// distance comes with the duplicate check.
+std::size_t NearestDistance(std::span<const std::uint64_t> book,
+                            std::span<const std::uint64_t> word) {
+  std::size_t nearest = std::numeric_limits<std::size_t>::max();
   for (std::size_t at = 0; at < book.size(); at += word.size()) {
-    if (std::equal(word.begin(), word.end(), book.begin() + at)) return true;
+    nearest = std::min(nearest,
+                       Distance(book.data() + at, word.data(), word.size()));
   }
-  return false;
+  return nearest;
 }
 
 }  // namespace
 
 CodebookCode::CodebookCode(const std::vector<BitString>& codebook)
-    : length_(0), stride_(0), num_messages_(codebook.size()) {
+    : length_(0),
+      stride_(0),
+      num_messages_(codebook.size()),
+      min_distance_(std::numeric_limits<std::size_t>::max()) {
   NB_REQUIRE(codebook.size() >= 2, "codebook needs at least two words");
   length_ = codebook.front().size();
   NB_REQUIRE(length_ > 0, "codewords must be non-empty");
@@ -59,16 +67,20 @@ CodebookCode::CodebookCode(const std::vector<BitString>& codebook)
   }
   const std::span<const std::uint64_t> book(words_);
   for (std::size_t at = stride_; at < book.size(); at += stride_) {
-    NB_REQUIRE(!Contains(book.first(at), book.subspan(at, stride_)),
-               "duplicate codewords");
+    const std::size_t d =
+        NearestDistance(book.first(at), book.subspan(at, stride_));
+    NB_REQUIRE(d > 0, "duplicate codewords");
+    min_distance_ = std::min(min_distance_, d);
   }
 }
 
 CodebookCode::CodebookCode(std::size_t length,
-                           std::vector<std::uint64_t> words)
+                           std::vector<std::uint64_t> words,
+                           std::size_t min_distance)
     : length_(length),
       stride_(WordsFor(length)),
       num_messages_(words.size() / stride_),
+      min_distance_(min_distance),
       words_(std::move(words)) {}
 
 CodebookCode CodebookCode::Random(std::uint64_t num_messages,
@@ -80,13 +92,16 @@ CodebookCode CodebookCode::Random(std::uint64_t num_messages,
   std::vector<std::uint64_t> candidate(WordsFor(length));
   std::vector<std::uint64_t> book;
   book.reserve(num_messages * candidate.size());
+  std::size_t min_distance = std::numeric_limits<std::size_t>::max();
   while (book.size() < num_messages * candidate.size()) {
     DrawWord(length, rng, candidate);
-    if (!Contains(book, candidate)) {
+    const std::size_t d = NearestDistance(book, candidate);
+    if (d > 0) {
       book.insert(book.end(), candidate.begin(), candidate.end());
+      min_distance = std::min(min_distance, d);
     }
   }
-  return CodebookCode(length, std::move(book));
+  return CodebookCode(length, std::move(book), min_distance);
 }
 
 CodebookCode CodebookCode::GilbertVarshamov(std::uint64_t num_messages,
@@ -104,6 +119,7 @@ CodebookCode CodebookCode::GilbertVarshamov(std::uint64_t num_messages,
   // probability while below the GV bound.
   const std::uint64_t max_attempts = 4096 * num_messages + 65536;
   std::uint64_t attempts = 0;
+  std::size_t book_distance = std::numeric_limits<std::size_t>::max();
   while (book.size() < num_messages * candidate.size()) {
     if (++attempts > max_attempts) {
       throw std::runtime_error(
@@ -111,14 +127,13 @@ CodebookCode CodebookCode::GilbertVarshamov(std::uint64_t num_messages,
           "GV bound for this length/distance");
     }
     DrawWord(length, rng, candidate);
-    bool ok = true;
-    for (std::size_t at = 0; ok && at < book.size(); at += candidate.size()) {
-      ok = Distance(book.data() + at, candidate.data(), candidate.size()) >=
-           min_distance;
+    const std::size_t d = NearestDistance(book, candidate);
+    if (d >= min_distance) {
+      book.insert(book.end(), candidate.begin(), candidate.end());
+      book_distance = std::min(book_distance, d);
     }
-    if (ok) book.insert(book.end(), candidate.begin(), candidate.end());
   }
-  return CodebookCode(length, std::move(book));
+  return CodebookCode(length, std::move(book), book_distance);
 }
 
 std::span<const std::uint64_t> CodebookCode::CodewordWords(
@@ -142,6 +157,18 @@ std::uint64_t CodebookCode::DecodeWords(
     }
   }
   return best_message;
+}
+
+std::uint64_t CodebookCode::DecodeWords(
+    std::span<const std::uint64_t> received, std::uint64_t hint,
+    std::int64_t* full_scans) const {
+  NB_REQUIRE(received.size() == stride_, "received word has wrong length");
+  if (2 * Distance(CodewordWords(hint).data(), received.data(), stride_) <
+      min_distance_) {
+    return hint;
+  }
+  if (full_scans != nullptr) ++*full_scans;
+  return DecodeWords(received);
 }
 
 BitString CodebookCode::Encode(std::uint64_t message) const {

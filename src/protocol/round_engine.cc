@@ -1,5 +1,6 @@
 #include "protocol/round_engine.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/math.h"
@@ -42,7 +43,7 @@ std::span<const std::uint64_t> RoundEngine::RoundWords(
   for (std::uint64_t w : beep_words) num_beepers += WordPopCount(w);
   channel_->DeliverWords(num_beepers, received_words_, num_parties_,
                          WordMode::kStreamCompat, *rng_);
-  CountRound();
+  CountRounds(1);
   return received_words_;
 }
 
@@ -66,7 +67,7 @@ std::span<const std::uint64_t> RoundEngine::RepeatRound(
     unsigned ones = 0;
     for (int t = 0; t < reps; ++t) {
       ones += shared_channel_->SharedOutcome(num_beepers, *rng_) ? 1 : 0;
-      CountRound();
+      CountRounds(1);
     }
     FillSharedWords(decoded_, num_parties_, ones >= threshold);
     return decoded_;
@@ -110,14 +111,32 @@ std::span<const std::uint64_t> RoundEngine::RepeatRound(
   return decoded_;
 }
 
-void RoundEngine::CountRound() {
-  ++rounds_used_;
+void RoundEngine::SharedWordRounds(std::span<const std::uint64_t> sent,
+                                   std::size_t length,
+                                   std::span<std::uint64_t> heard) {
+  NB_REQUIRE(shares_rounds(), "the engine does not share rounds");
+  NB_REQUIRE(length >= 1, "a word needs at least one round");
+  const auto rounds = static_cast<std::int64_t>(length);
+  NB_REQUIRE(sent.size() == WordsForParties(rounds) &&
+                 heard.size() == sent.size(),
+             "word spans do not match the length");
+  std::fill(heard.begin(), heard.end(), 0);
+  for (std::int64_t t = 0; t < rounds; ++t) {
+    if (shared_channel_->SharedOutcome(PackedBit(sent, t) ? 1 : 0, *rng_)) {
+      SetPackedBit(heard, t, true);
+    }
+  }
+  CountRounds(rounds);
+}
+
+void RoundEngine::CountRounds(std::int64_t rounds) {
+  rounds_used_ += rounds;
   // Resolve the phase counter at most once per SetPhase, not per round:
   // a phase gets a map entry only once a round actually runs under it
   // (so phase_rounds() never reports zero-round phases), and every later
-  // round is a plain pointer increment instead of a string-keyed lookup.
+  // round is a plain pointer addition instead of a string-keyed lookup.
   if (phase_counter_ == nullptr) phase_counter_ = &phase_rounds_[phase_];
-  ++*phase_counter_;
+  *phase_counter_ += rounds;
 }
 
 std::span<const std::uint8_t> RoundEngine::Round(

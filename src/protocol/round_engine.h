@@ -69,8 +69,7 @@ class RoundEngine {
   // party's decoded bit under `rule`, packed the same way (valid until the
   // next call, tail bits zero).  The repetition code of every repeated
   // phase: chunk simulation, Execute with reps > 1, and the flag exchanges
-  // of coding/verification.h; with reps = 1, the owner phase's rounds on an
-  // engine that shares them.  When the engine shares rounds, each
+  // of coding/verification.h.  When the engine shares rounds, each
   // repetition is the channel's one SharedOutcome draw -- the draw
   // RoundWords' delivery makes -- counted once for every party; otherwise
   // each runs through RoundWords and every party's count of received 1s is
@@ -79,6 +78,18 @@ class RoundEngine {
   // Preconditions: reps >= 1, and beeps meets RoundWords' preconditions.
   std::span<const std::uint64_t> RepeatRound(
       std::span<const std::uint64_t> beeps, int reps, FlagRule rule);
+
+  // Runs `length` shared rounds in each of which one party or nobody
+  // beeps: one party beeps in round t iff bit t of `sent` is set (bit
+  // t % 64 of word t / 64).  Writes the bit every party heard in round t
+  // to the same place in `heard`, with the bits past `length` zero.  The
+  // owner phase's codeword on an engine that shares rounds: per round the
+  // same SharedOutcome draw, in the same order, as RepeatRound with
+  // reps = 1 and that beeper, counted under the current phase.
+  // Preconditions: shares_rounds(), length >= 1, and sent and heard each
+  // hold ceil(length / 64) words.
+  void SharedWordRounds(std::span<const std::uint64_t> sent,
+                        std::size_t length, std::span<std::uint64_t> heard);
 
   // True when every party is certain to hear the same bit in every round,
   // so RepeatRound costs O(1) per repetition, not O(num_parties() / 64):
@@ -129,8 +140,8 @@ class RoundEngine {
   void CheckBeepWords(std::span<const std::uint64_t> beep_words) const;
 
  private:
-  // Counts one round under the current phase.
-  void CountRound();
+  // Counts `rounds` rounds under the current phase.
+  void CountRounds(std::int64_t rounds);
 
   const Channel* channel_;
   // channel_ when every party hears one outcome per round (shares_rounds),

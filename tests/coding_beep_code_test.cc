@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 
-#include "ecc/code.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -81,7 +81,27 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BeepCode, MinimumDistanceIsHealthy) {
   // Random codebooks at factor 6 should comfortably exceed L/5.
   const BeepCode code(32, 6, 4);
-  EXPECT_GE(MinimumDistance(code.codebook()), code.codeword_length() / 5);
+  EXPECT_GE(code.codebook().min_distance(), code.codeword_length() / 5);
+}
+
+TEST(BeepCode, DefaultMinimumDistancesArePinned) {
+  // The rewind schemes' owner codes (seed 0x5eedbee9 + chunk_len) at
+  // factor 6 (the default) and 10, chunk 8 to 1024: the d_min table of
+  // docs/SCHEMES.md.  A decode is certified within (d_min - 1) / 2 flips.
+  constexpr std::array<int, 8> kChunks = {8, 16, 32, 64, 128, 256, 512, 1024};
+  constexpr std::array<std::size_t, 8> kFactor6 = {8,  11, 10, 11,
+                                                   14, 16, 15, 16};
+  constexpr std::array<std::size_t, 8> kFactor10 = {18, 18, 23, 23,
+                                                    27, 31, 33, 35};
+  for (std::size_t c = 0; c < kChunks.size(); ++c) {
+    const auto seed = static_cast<std::uint64_t>(0x5eedbee9 + kChunks[c]);
+    EXPECT_EQ(BeepCode(kChunks[c], 6, seed).codebook().min_distance(),
+              kFactor6[c])
+        << "chunk " << kChunks[c];
+    EXPECT_EQ(BeepCode(kChunks[c], 10, seed).codebook().min_distance(),
+              kFactor10[c])
+        << "chunk " << kChunks[c];
+  }
 }
 
 }  // namespace

@@ -444,5 +444,85 @@ TEST(OwnerFindingDiff, PartiesAgreeingOnlyInTheFirstWordDecodeApart) {
   EXPECT_EQ(results[1].owners, results[0].owners);
 }
 
+// Every party hears the complement of every round, so each received word
+// is the complement of the codeword sent.  Its nearest codeword is never
+// the one sent: a decode that trusted the speaker's message would show.
+// It changes what parties hear, so it is built as rewriting per-party
+// bits.
+class ComplementEngine : public RoundEngine {
+ public:
+  ComplementEngine(const Channel& channel, Rng& rng, std::int64_t n)
+      : RoundEngine(channel, rng, n, /*rewrites_bits=*/true) {}
+
+  std::span<const std::uint64_t> RoundWords(
+      std::span<const std::uint64_t> beep_words) override {
+    const std::span<const std::uint64_t> bits =
+        RoundEngine::RoundWords(beep_words);
+    heard_.assign(bits.begin(), bits.end());
+    for (std::uint64_t& word : heard_) word = ~word;
+    heard_.back() &= TailWordMask(num_parties());
+    return heard_;
+  }
+
+ private:
+  std::vector<std::uint64_t> heard_;
+};
+
+// The shared-draw twin: every listener hears 1 exactly when nobody beeps.
+// It draws a bit per round so that the draw counts are compared too.
+class InvertingChannel final : public SharedDrawChannel {
+ public:
+  [[nodiscard]] bool SharedOutcome(std::int64_t num_beepers,
+                                   Rng& rng) const override {
+    (void)rng.Bit();
+    return num_beepers == 0;
+  }
+  [[nodiscard]] std::string name() const override { return "inverting"; }
+};
+
+TEST(OwnerFindingDiff, WrongHintsMatchThePerPartyReference) {
+  // The complement engine runs the per-party path, the inverting channel
+  // the shared one.  Chunk 32 at factor 10 gives 70-bit codewords.
+  for (const int n : {5, 70}) {
+    for (const int chunk : {8, 32}) {
+      const BeepCode code(chunk, 10, 0x5eedbee9 + chunk);
+      Rng fixture_rng(static_cast<std::uint64_t>(100 * n + chunk));
+      const OwnerFixture fx = RandomFixture(n, chunk, 0.1, fixture_rng);
+      const std::vector<BitString> views = SharedView(fx.pi, n);
+      for (const bool shared : {false, true}) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  " chunk=" + std::to_string(chunk) +
+                                  (shared ? " shared" : " per-party");
+        std::vector<OwnerRun> runs;
+        for (const bool reference : {true, false}) {
+          const NoiselessChannel noiseless;
+          const InvertingChannel inverting;
+          Rng rng(17);
+          std::unique_ptr<RoundEngine> engine =
+              shared ? std::make_unique<RoundEngine>(inverting, rng, n)
+                     : std::make_unique<ComplementEngine>(noiseless, rng, n);
+          ASSERT_EQ(engine->shares_rounds(), shared) << where;
+          const OwnerFindingResult found =
+              reference ? ReferenceFindOwners(*engine, code, views, fx.beeped)
+                        : FindOwners(*engine, code, views, fx.beeped);
+          if (!reference) {
+            EXPECT_GT(found.full_scans, 0) << where;
+          }
+          OwnerRun run;
+          run.owners = found.owners;
+          run.rounds = engine->rounds_used();
+          run.phases = engine->phase_rounds();
+          run.rng_state = rng.SaveState();
+          runs.push_back(std::move(run));
+        }
+        EXPECT_EQ(runs[1].rounds, runs[0].rounds) << where;
+        EXPECT_EQ(runs[1].phases, runs[0].phases) << where;
+        EXPECT_EQ(runs[1].rng_state, runs[0].rng_state) << where;
+        EXPECT_TRUE(runs[1].owners == runs[0].owners) << where;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace noisybeeps

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -663,6 +664,72 @@ TEST(SharedRound, RecordingChannelSeesEveryRepetition) {
   EXPECT_EQ(recorded.word_rounds(), 7);
   EXPECT_EQ(bare.shared_rounds(), 7);
   EXPECT_EQ(recorded_rng.SaveState(), bare_rng.SaveState());
+}
+
+// The owner phase's codeword on a sharing engine: one SharedWordRounds
+// call must hear, draw and count what one RoundWords call per bit does on
+// a word-path twin, where one party beeps in the rounds the word has a 1.
+TEST(SharedRound, WordOfRoundsMatchesOneRoundWordsCallPerBit) {
+  const std::int64_t n = 65;
+  for (const SharedChannelCase& channel_case : SharedDrawChannels()) {
+    for (const std::size_t length : {1, 54, 64, 65, 130}) {
+      const std::string where =
+          std::string(channel_case.name) + " L=" + std::to_string(length);
+      const std::unique_ptr<Channel> shared_channel = channel_case.make();
+      const std::unique_ptr<Channel> word_channel = channel_case.make();
+      Rng shared_rng(length);
+      Rng word_rng(length);
+      ProbeEngine shared(*shared_channel, shared_rng, n);
+      ProbeEngine word(*word_channel, word_rng, n, /*rewrites_bits=*/true);
+      ASSERT_TRUE(shared.shares_rounds()) << where;
+      Rng bits_rng(length + 1000);
+      const auto rounds = static_cast<std::int64_t>(length);
+      // Two words under two phases: the burst channel's state carries
+      // from word to word, and each phase counts its own rounds.
+      for (const char* phase : {"owner-finding", "flags"}) {
+        std::vector<std::uint64_t> sent(WordsForParties(rounds), 0);
+        for (std::int64_t t = 0; t < rounds; ++t) {
+          SetPackedBit(sent, t, bits_rng.Bit());
+        }
+        shared.SetPhase(phase);
+        word.SetPhase(phase);
+        std::vector<std::uint64_t> heard(sent.size(), ~std::uint64_t{0});
+        shared.SharedWordRounds(sent, length, heard);
+        std::vector<std::uint64_t> expected(sent.size(), 0);
+        for (std::int64_t t = 0; t < rounds; ++t) {
+          const std::optional<bool> bit = SharedBit(
+              word.RoundWords(BeepsOf(n, PackedBit(sent, t) ? 1 : 0)), n);
+          ASSERT_TRUE(bit.has_value()) << where;
+          SetPackedBit(expected, t, *bit);
+        }
+        ASSERT_EQ(heard, expected) << where << " " << phase;
+      }
+      EXPECT_EQ(shared.rounds_used(), 2 * rounds) << where;
+      EXPECT_EQ(shared.phase_rounds(), word.phase_rounds()) << where;
+      EXPECT_EQ(shared_rng.SaveState(), word_rng.SaveState()) << where;
+      EXPECT_EQ(shared.word_rounds(), 0) << where;
+    }
+  }
+}
+
+TEST(SharedRound, WordOfRoundsNeedsASharingEngineAndMatchingSpans) {
+  const std::int64_t n = 65;
+  const CorrelatedNoisyChannel correlated(0.3);
+  const IndependentNoisyChannel independent(0.3);
+  Rng rng(7);
+  const auto before = rng.SaveState();
+  RoundEngine declines(independent, rng, n);
+  RoundEngine shares(correlated, rng, n);
+  std::vector<std::uint64_t> one(1, 0);
+  std::vector<std::uint64_t> two(2, 0);
+  EXPECT_THROW(declines.SharedWordRounds(one, 54, one),
+               std::invalid_argument);
+  EXPECT_THROW(shares.SharedWordRounds(one, 0, one), std::invalid_argument);
+  EXPECT_THROW(shares.SharedWordRounds(two, 54, one), std::invalid_argument);
+  EXPECT_THROW(shares.SharedWordRounds(one, 65, one), std::invalid_argument);
+  EXPECT_EQ(declines.rounds_used() + shares.rounds_used(), 0);
+  EXPECT_TRUE(shares.phase_rounds().empty());
+  EXPECT_EQ(rng.SaveState(), before);
 }
 
 // The tracker's packed overload compares party with party: at n = 65 an

@@ -20,11 +20,14 @@
 // shared bit when the engine shares rounds, and through RoundWords
 // (O(n/64) per round) otherwise: on e2's shape every one of the T * reps
 // rounds is a shared round, on the independent channel none is.  The owner
-// phase sends each codeword bit through it as one shared round when the
-// engine shares rounds, and through RoundWords otherwise.
+// phase sends each codeword as one SharedWordRounds call, L shared rounds,
+// when the engine shares rounds, and each bit through RoundWords
+// otherwise.  Its decodes start from the speaker's message, and only the
+// words that do not certify it scan the book (full_scans).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -375,8 +378,15 @@ TEST(OwnerFindingRoundCount, SharedRoundsSkipTheWordPath) {
   const std::vector<BitString> views(kParties, pi);
   const std::int64_t rounds = (kParties + kChunk) * 54;
   ASSERT_EQ(rounds, 13'824);
+  // Decodes the speaker's message did not certify (d_min = 14: words
+  // with 7 or more flips from its codeword).  None without noise; 4 of
+  // the 256 shared decodes on the correlated channel; on the independent
+  // channel, 485 over the n parties' decodes (about 1.5 % of 256 * 128).
+  const std::map<std::string, std::int64_t> full_scans = {
+      {"noiseless", 0}, {"correlated", 4}, {"independent", 485}};
 
-  for (const std::string channel_name : {"correlated", "independent"}) {
+  for (const std::string channel_name :
+       {"noiseless", "correlated", "independent"}) {
     SCOPED_TRACE(channel_name);
     const bool independent = channel_name == "independent";
     const std::unique_ptr<Channel> channel =
@@ -395,6 +405,8 @@ TEST(OwnerFindingRoundCount, SharedRoundsSkipTheWordPath) {
     EXPECT_EQ(engine.phase_rounds().at("owner-finding"), rounds);
     EXPECT_EQ(engine.shares_rounds(), !independent);
     EXPECT_EQ(engine.round_words_calls(), independent ? rounds : 0);
+    EXPECT_EQ(result.full_scans, full_scans.at(channel_name));
+    EXPECT_EQ(expected.full_scans, result.full_scans);
   }
 }
 

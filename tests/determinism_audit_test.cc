@@ -190,6 +190,41 @@ TEST(DeterminismAudit, HierarchicalSimulation) {
   });
 }
 
+TEST(DeterminismAudit, SimulatorsSharedAcrossWorkers) {
+  // One rewind and one hierarchical simulator per run, shared by every
+  // trial and worker of it, as a job shares its simulator.  Chunk 5 does
+  // not divide T = 12, so every trial runs two chunk lengths, each with
+  // its own owner code.  Fresh simulators per worker count, so that the
+  // threaded runs start from nothing shared.
+  RewindSimOptions options;
+  options.chunk_len = 5;
+  HierarchicalSimOptions hierarchical_options;
+  hierarchical_options.base = options;
+  const auto run = [&](int workers) {
+    const RewindSimulator rewind(options);
+    const HierarchicalSimulator hierarchical(hierarchical_options);
+    return RunWorkload(
+        808,
+        [&](int, Rng& rng) {
+          const InputSetInstance instance = SampleInputSet(6, rng);
+          const auto protocol = MakeInputSetProtocol(instance);
+          const CorrelatedNoisyChannel channel(0.05);
+          Fingerprint fp;
+          fp.Mix(FingerprintSimulation(
+              rewind.Simulate(*protocol, channel, rng)));
+          fp.Mix(FingerprintSimulation(
+              hierarchical.Simulate(*protocol, channel, rng)));
+          return fp.value();
+        },
+        workers);
+  };
+  const std::vector<std::uint64_t> serial = run(1);
+  ASSERT_EQ(serial.size(), static_cast<std::size_t>(kTrials) + 1);
+  for (int workers : WorkerCounts()) {
+    EXPECT_EQ(run(workers), serial) << workers << " workers";
+  }
+}
+
 TEST(DeterminismAudit, FaultedRewindSimulation) {
   // The fault layer must not break the bit-identity contract: the babbler
   // streams derive from the plan seed alone and every other fault kind is

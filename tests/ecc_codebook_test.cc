@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ecc/code.h"
@@ -190,8 +191,132 @@ TEST_P(CodebookScanTest, DecodeEqualsLinearScanOnRandomWords) {
   }
 }
 
+TEST_P(CodebookScanTest, HintedDecodeEqualsLinearScanForEveryHint) {
+  // Random words, and codewords through 5 % noise, decoded under every
+  // hint: the hint of the word's own message (certified unless the noise
+  // came near half the minimum distance) and every wrong one.
+  const std::size_t length = GetParam();
+  const std::uint64_t q = length == 1 ? 2 : 33;
+  const CodebookCode code = CodebookCode::Random(q, length, 17 + length);
+  const std::vector<BitString> book = BookOf(code);
+  Rng rng(77 + length);
+  std::int64_t decodes = 0;
+  std::int64_t full_scans = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    BitString received = RandomBits(length, rng);
+    if (trial % 2 == 1) {
+      received = book[rng.UniformInt(q)];
+      for (std::size_t i = 0; i < length; ++i) {
+        if (rng.Bernoulli(0.05)) received.Set(i, !received[i]);
+      }
+    }
+    const std::uint64_t expected = LinearScanDecode(book, received);
+    for (std::uint64_t hint = 0; hint < q; ++hint) {
+      ASSERT_EQ(code.DecodeWords(received.words(), hint, &full_scans),
+                expected)
+          << "L=" << length << " trial " << trial << " hint " << hint;
+      ++decodes;
+    }
+  }
+  // Both branches ran: some hints were certified, some were scanned.
+  EXPECT_GT(full_scans, 0) << "L=" << length;
+  EXPECT_LT(full_scans, decodes) << "L=" << length;
+}
+
 INSTANTIATE_TEST_SUITE_P(Lengths, CodebookScanTest,
                          ::testing::Values(1, 63, 64, 65, 128, 130));
+
+// --- the certificate ---------------------------------------------------------
+
+TEST(CodebookCode, MinDistanceIsThePairwiseMinimum) {
+  // MinimumDistance enumerates every pair; min_distance() was recorded
+  // while the book was built.
+  for (const auto& [q, length] : std::vector<std::pair<std::uint64_t,
+                                                       std::size_t>>{
+           {2, 1}, {3, 2}, {17, 24}, {33, 48}, {33, 65}, {129, 54},
+           {65, 130}}) {
+    const CodebookCode code = CodebookCode::Random(q, length, 5 + length);
+    EXPECT_EQ(code.min_distance(), MinimumDistance(code))
+        << "Random q=" << q << " L=" << length;
+  }
+  for (const std::size_t d : {1, 5, 9, 12}) {
+    const CodebookCode code = CodebookCode::GilbertVarshamov(16, 32, d, 5);
+    EXPECT_EQ(code.min_distance(), MinimumDistance(code)) << "GV d=" << d;
+    EXPECT_GE(code.min_distance(), d);
+  }
+  const CodebookCode explicit_book({BitString::FromString("0000"),
+                                    BitString::FromString("1111"),
+                                    BitString::FromString("0110")});
+  EXPECT_EQ(explicit_book.min_distance(), 2u);
+  EXPECT_EQ(explicit_book.min_distance(), MinimumDistance(explicit_book));
+}
+
+// `word` with the first `count` of the positions where it differs from
+// `toward` set to `toward`'s bits.
+BitString StepToward(BitString word, const BitString& toward,
+                     std::size_t count) {
+  for (std::size_t i = 0; i < word.size() && count > 0; ++i) {
+    if (word[i] != toward[i]) {
+      word.Set(i, toward[i]);
+      --count;
+    }
+  }
+  return word;
+}
+
+TEST(CodebookCode, CertificateEndsAtHalfTheMinimumDistance) {
+  // A word r steps from codeword 1 toward codeword 0 is certified for
+  // hint 1 iff 2r < d_min, i.e. up to r = floor((d_min - 1) / 2).  Even
+  // d_min 4 puts the first uncertified word at distance 2 from both
+  // codewords: an exact tie, which breaks to index 0 whatever the hint.
+  // Odd d_min 5 has no tie; its first uncertified word is nearer
+  // codeword 0.  The default owner code at chunk 128 (d_min 14) takes the
+  // same walk.
+  std::vector<CodebookCode> codes;
+  codes.emplace_back(std::vector<BitString>{
+      BitString::FromString("000000000000"),
+      BitString::FromString("111100000000"),
+      BitString::FromString("000011111111")});
+  codes.emplace_back(std::vector<BitString>{
+      BitString::FromString("000000000000"),
+      BitString::FromString("111110000000"),
+      BitString::FromString("000001111111")});
+  codes.push_back(CodebookCode::Random(129, 54, 0x5eedbee9 + 128));
+  ASSERT_EQ(codes[0].min_distance(), 4u);
+  ASSERT_EQ(codes[1].min_distance(), 5u);
+  ASSERT_EQ(codes[2].min_distance(), 14u);
+  for (std::size_t c = 0; c < codes.size(); ++c) {
+    const CodebookCode& code = codes[c];
+    const std::vector<BitString> book = BookOf(code);
+    const std::size_t radius = (code.min_distance() - 1) / 2;
+    for (const std::size_t r : {radius, radius + 1}) {
+      const BitString received = StepToward(book[1], book[0], r);
+      ASSERT_EQ(received.HammingDistance(book[1]), r);
+      const std::uint64_t expected = LinearScanDecode(book, received);
+      if (r == radius) {
+        EXPECT_EQ(expected, 1u) << code.name();
+      } else if (c < 2) {
+        EXPECT_EQ(expected, 0u) << code.name();
+      }
+      std::int64_t full_scans = 0;
+      EXPECT_EQ(code.DecodeWords(received.words(), 1, &full_scans), expected)
+          << code.name() << " r=" << r;
+      EXPECT_EQ(full_scans, r == radius ? 0 : 1) << code.name() << " r=" << r;
+      for (std::uint64_t hint = 0; hint < code.num_messages(); ++hint) {
+        EXPECT_EQ(code.DecodeWords(received.words(), hint), expected)
+            << code.name() << " r=" << r << " hint " << hint;
+      }
+    }
+  }
+}
+
+TEST(CodebookCode, HintedDecodeValidatesItsArguments) {
+  const CodebookCode code = CodebookCode::Random(4, 10, 1);
+  const BitString word = code.Encode(2);
+  EXPECT_THROW((void)code.DecodeWords(word.words(), 4), std::invalid_argument);
+  const std::vector<std::uint64_t> wide(2, 0);
+  EXPECT_THROW((void)code.DecodeWords(wide, 0), std::invalid_argument);
+}
 
 class CodebookTieTest : public ::testing::TestWithParam<std::size_t> {};
 
