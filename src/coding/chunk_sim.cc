@@ -1,6 +1,7 @@
 #include "coding/chunk_sim.h"
 
 #include "coding/owner_finding.h"
+#include "protocol/executor.h"
 #include "util/require.h"
 
 namespace noisybeeps {
@@ -9,13 +10,9 @@ ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
                                   std::vector<BitString>& transcripts,
                                   int start, int chunk_len, int rep_factor,
                                   const BeepCode* code, RoundEngine& engine) {
-  const int n = protocol.num_parties();
-  NB_REQUIRE(static_cast<int>(transcripts.size()) == n,
-             "need one committed prefix per party");
   NB_REQUIRE(start >= 0 && chunk_len >= 1 &&
                  start + chunk_len <= protocol.length(),
              "chunk out of protocol range");
-  NB_REQUIRE(rep_factor >= 1, "repetition factor must be positive");
   for (const BitString& prefix : transcripts) {
     NB_REQUIRE(static_cast<int>(prefix.size()) == start,
                "committed prefixes must cover exactly the rounds before the "
@@ -26,28 +23,18 @@ ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
                "owner code sized for a different chunk length");
   }
 
+  // Phase 1: simulation by repetition, on Execute's loop from the
+  // committed prefixes; each party's candidate is its transcript's new
+  // tail.
   ChunkAttempt attempt;
-  attempt.candidate.assign(n, BitString());
-  attempt.beeped.assign(n, BitString());
-
-  // Phase 1: simulation by repetition.  transcripts[i] = the committed
-  // prefix extended by the candidate bits decoded so far; the party's pure
-  // f_m^i reads it.
+  attempt.beeped.assign(transcripts.size(), BitString());
   engine.SetPhase("chunk-sim");
-  std::vector<std::uint64_t> beeps(WordsForParties(n), 0);
-  for (int m = 0; m < chunk_len; ++m) {
-    for (int i = 0; i < n; ++i) {
-      const bool b = protocol.party(i).ChooseBeep(transcripts[i]);
-      SetPackedBit(beeps, i, b);
-      attempt.beeped[i].PushBack(b);
-    }
-    const std::span<const std::uint64_t> decoded =
-        engine.RepeatRound(beeps, rep_factor, FlagRule::kMajority);
-    for (int i = 0; i < n; ++i) {
-      const bool bit = PackedBit(decoded, i);
-      attempt.candidate[i].PushBack(bit);
-      transcripts[i].PushBack(bit);
-    }
+  (void)ExtendTranscripts(protocol, engine, rep_factor, chunk_len,
+                          transcripts, &attempt.beeped);
+  attempt.candidate.reserve(transcripts.size());
+  for (const BitString& transcript : transcripts) {
+    attempt.candidate.push_back(transcript.Substring(
+        static_cast<std::size_t>(start), transcript.size()));
   }
 
   // Phase 2: finding owners.

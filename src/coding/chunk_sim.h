@@ -4,7 +4,10 @@
 // Phase 1 (simulation): each of the chunk's rounds is repeated rep_factor
 // times; parties majority-decode each round and feed the decoded bit back
 // into their broadcast functions, extending their local candidate
-// transcript.
+// transcript.  This is Execute's loop (protocol/executor.h,
+// ExtendTranscripts) run from the committed prefixes: one transcript and
+// one Protocol::BeepWords call per round while the parties agree, a
+// ChooseBeep per party per round once they do not.
 //
 // Phase 2 (finding owners, optional): the Algorithm 1 turn-passing
 // protocol records an owner for every 1 of the candidate chunk -- see

@@ -14,7 +14,7 @@ struct Tables {
     for (int i = 0; i < 255; ++i) {
       exp[i] = static_cast<std::uint8_t>(x);
       log[x] = i;
-      x <<= 1;
+      x = static_cast<std::uint16_t>(x << 1);
       if (x & 0x100) x ^= 0x11d;
     }
     for (int i = 255; i < 512; ++i) exp[i] = exp[i - 255];

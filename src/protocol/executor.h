@@ -1,4 +1,5 @@
-// Direct execution of a protocol over a channel.
+// Direct execution of a protocol over a channel, and the round loop every
+// repetition-coded simulation runs.
 //
 // This is the paper's execution semantics (Appendix A.1.1) verbatim: in
 // round m each party beeps f_m^i(x^i, its transcript so far), the channel
@@ -7,18 +8,23 @@
 // transcript; under the independent channel each party feeds its own noisy
 // transcript back into its own broadcast functions.
 //
-// One transcript until the parties diverge: while every party has received
-// the same bits, all transcripts are one BitString, and one
-// Protocol::BeepWords call gives every party's beep for it.  At the first
-// round whose delivered bits are not all equal, that transcript is copied
-// into n per-party transcripts, and from then on each party decides from
+// One loop, one transcript until the parties diverge: ExtendTranscripts
+// runs protocol rounds from the parties' current transcripts.  While every
+// transcript is equal and every party has received the same bits, it grows
+// only the first, and one Protocol::BeepWords call gives every party's beep
+// for it.  At the first round whose delivered bits are not all equal (or
+// at once, if the transcripts enter unequal), the other parties take a
+// copy of the first transcript, and from then on each party decides from
 // its own by ChooseBeep.  Party purity makes the two phases the same
 // execution: rounds, rng draws and results do not depend on where the
 // switch happens.
 //
 // Each protocol round is one RoundEngine::RepeatRound of its beeps: one
-// noisy round by default, or `reps` majority-decoded repetitions, which is
-// the repetition simulator (coding/repetition_sim.h, footnote 1).
+// noisy round by default, or `reps` majority-decoded repetitions.  Execute
+// runs the protocol's T rounds from empty transcripts (with reps > 1 that
+// is the repetition simulator, coding/repetition_sim.h, footnote 1); chunk
+// simulation (coding/chunk_sim.h) runs a chunk's rounds from the parties'
+// committed prefixes.
 #ifndef NOISYBEEPS_PROTOCOL_EXECUTOR_H_
 #define NOISYBEEPS_PROTOCOL_EXECUTOR_H_
 
@@ -42,6 +48,23 @@ struct ExecutionResult {
 
   [[nodiscard]] const BitString& shared() const { return transcripts.front(); }
 };
+
+// Runs `rounds` more protocol rounds from the parties' current
+// transcripts, one engine.RepeatRound of `reps` noisy rounds per protocol
+// round, majority-decoded, and appends to transcripts[i] the bit party i
+// decoded in each.  When `beeped` is non-null, appends to (*beeped)[i] the
+// bit party i beeped in each round.  Returns the round, counted from the
+// protocol's start, whose delivered bits differed while the transcripts
+// were all equal, or -1 if there was none in this call (which includes a
+// call entered with unequal transcripts).
+// Preconditions: engine.num_parties() == protocol.num_parties() ==
+// transcripts.size() (== beeped->size()), reps >= 1, rounds >= 0, every
+// transcript has the same length, and that length plus `rounds` is at most
+// protocol.length().
+[[nodiscard]] int ExtendTranscripts(const Protocol& protocol,
+                                    RoundEngine& engine, int reps, int rounds,
+                                    std::vector<BitString>& transcripts,
+                                    std::vector<BitString>* beeped = nullptr);
 
 // Runs `protocol` for its full length, one engine.RepeatRound of `reps`
 // noisy rounds per protocol round, majority-decoded (at reps = 1 each

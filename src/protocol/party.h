@@ -10,14 +10,15 @@
 // Both must be PURE functions of the transcript prefix (and the party's
 // input, captured at construction).  Purity is a load-bearing contract:
 // the rewind schemes verify a chunk from the beeps recorded while
-// simulating it and rewind to earlier prefixes; Execute and the
-// repetition simulator ask for one round's beeps once, on the transcript
-// every party shares, until the parties' transcripts diverge; and
-// Protocol::BeepWords overrides compute a round's beeps without calling
-// ChooseBeep at all.  Each is exact only when the answer depends on
-// nothing but the prefix.  Randomized protocols fix their coins inside
-// the party's input/seed, i.e. they are distributions over deterministic
-// protocols, exactly as in the paper.
+// simulating it and rewind to earlier prefixes; ExtendTranscripts, the
+// round loop of Execute, the repetition simulator and chunk simulation,
+// asks for one round's beeps once, on the transcript every party shares,
+// until the parties' transcripts diverge; and Protocol::BeepWords
+// overrides compute a round's beeps without calling ChooseBeep at all.
+// Each is exact only when the answer depends on nothing but the prefix.
+// Randomized protocols fix their coins inside the party's input/seed,
+// i.e. they are distributions over deterministic protocols, exactly as in
+// the paper.
 #ifndef NOISYBEEPS_PROTOCOL_PARTY_H_
 #define NOISYBEEPS_PROTOCOL_PARTY_H_
 

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "channel/correlated.h"
 #include "channel/independent.h"
 #include "channel/noiseless.h"
+#include "fault/fault_plan.h"
+#include "fault/injection.h"
 #include "protocol/executor.h"
 #include "protocol/protocol.h"
 #include "protocol/round_engine.h"
 #include "tasks/input_set.h"
 #include "tasks/or_task.h"
+#include "tasks/random_protocol.h"
 #include "util/rng.h"
 
 namespace noisybeeps {
@@ -214,6 +220,209 @@ TEST(Execute, AdaptivePartySeesOwnTranscript) {
   const NoiselessChannel channel;
   const ExecutionResult result = Execute(protocol, channel, rng);
   EXPECT_EQ(result.shared().ToString(), "111111");
+}
+
+// ExtendTranscripts' seams.  A run of [0, T) split into consecutive calls
+// of 1, 7 and T - 8 rounds is one Execute: the same transcripts, rounds and
+// draws.  Only the call in which the shared transcript splits reports the
+// divergent round.
+struct SeamCase {
+  std::string name;
+  bool adaptive;       // the random task; otherwise InputSet
+  bool independent;    // the independent channel at 0.3; else correlated
+  const char* faults;  // fault plan ("" = none)
+  int reps;
+  int split_call;  // the call that reports the divergent round (-1 = none)
+};
+
+std::ostream& operator<<(std::ostream& os, const SeamCase& c) {
+  return os << c.name;
+}
+
+std::unique_ptr<Protocol> SeamProtocol(const SeamCase& c, Rng& rng) {
+  if (c.adaptive) {
+    return MakeRandomProtocol(SampleRandomProtocol(16, 64, 0.1, true, rng));
+  }
+  return MakeInputSetProtocol(SampleInputSet(65, rng));
+}
+
+std::unique_ptr<Channel> SeamChannel(const SeamCase& c) {
+  if (c.independent) return std::make_unique<IndependentNoisyChannel>(0.3);
+  return std::make_unique<CorrelatedNoisyChannel>(0.05);
+}
+
+class ExtendTranscriptsSeams : public ::testing::TestWithParam<SeamCase> {};
+
+TEST_P(ExtendTranscriptsSeams, SplitCallsAreOneExecute) {
+  const SeamCase& c = GetParam();
+  const std::unique_ptr<Channel> channel = SeamChannel(c);
+  const FaultPlan plan = FaultPlan::Parse(c.faults, 11);
+
+  Rng expected_rng(7);
+  const std::unique_ptr<Protocol> protocol = SeamProtocol(c, expected_rng);
+  const int n = protocol->num_parties();
+  const int length = protocol->length();
+  Rng rng = expected_rng;
+  FaultyRoundEngine expected_engine(*channel, expected_rng, n, plan);
+  const ExecutionResult expected =
+      Execute(*protocol, expected_engine, c.reps);
+
+  FaultyRoundEngine engine(*channel, rng, n, plan);
+  std::vector<BitString> transcripts(static_cast<std::size_t>(n));
+  std::vector<int> divergent_rounds;
+  for (const int rounds : {1, 7, length - 8}) {
+    divergent_rounds.push_back(
+        ExtendTranscripts(*protocol, engine, c.reps, rounds, transcripts));
+  }
+  EXPECT_EQ(transcripts, expected.transcripts);
+  EXPECT_EQ(engine.rounds_used(), expected_engine.rounds_used());
+  EXPECT_EQ(rng.SaveState(), expected_rng.SaveState());
+
+  // The call in which the transcripts split reports Execute's divergent
+  // round; every other call reports none.
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_EQ(divergent_rounds[call],
+              call == c.split_call ? expected.first_divergent_round : -1)
+        << "call " << call;
+  }
+  EXPECT_EQ(expected.first_divergent_round < 0, c.split_call < 0);
+}
+
+// Where the shared transcript splits: never on the correlated channel; in
+// the first call (round 0) on the independent channel, where the parties'
+// majorities over 0.3 noise disagree at once; and, under the receive fault,
+// in the last call (round 20) at reps = 1 and in the middle one (round 7)
+// at reps = 3, where noisy round 20 falls in protocol round 6.
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ExtendTranscriptsSeams,
+    ::testing::Values(
+        SeamCase{"correlated", false, false, "", 1, -1},
+        SeamCase{"correlated_reps3", false, false, "", 3, -1},
+        SeamCase{"independent", false, true, "", 1, 0},
+        SeamCase{"independent_adaptive", true, true, "", 1, 0},
+        SeamCase{"sleepy", false, false, "sleepy:2@20-600", 1, 2},
+        SeamCase{"sleepy_reps3", false, false, "sleepy:2@20-600", 3, 1},
+        SeamCase{"sleepy_adaptive", true, false, "sleepy:2@20-600", 1, 2}),
+    [](const ::testing::TestParamInfo<SeamCase>& case_info) {
+      return case_info.param.name;
+    });
+
+// Beeps the last bit it received (0 on an empty transcript).
+class EchoParty final : public Party {
+ public:
+  [[nodiscard]] bool ChooseBeep(const BitString& prefix) const override {
+    return !prefix.empty() && prefix[prefix.size() - 1];
+  }
+  [[nodiscard]] PartyOutput ComputeOutput(const BitString&) const override {
+    return {};
+  }
+};
+
+std::unique_ptr<Protocol> EchoProtocol(int n, int length) {
+  std::vector<std::unique_ptr<Party>> parties;
+  for (int i = 0; i < n; ++i) parties.push_back(std::make_unique<EchoParty>());
+  return std::make_unique<BasicProtocol>(std::move(parties), length);
+}
+
+// Entered with unequal transcripts, every party decides on its own prefix
+// from the first round: party 1 echoes its own last bit, 1, where party
+// 0's transcript would have it beep 0.
+TEST(ExtendTranscripts, UnequalTranscriptsDecideOnTheirOwnPrefixes) {
+  const std::unique_ptr<Protocol> protocol = EchoProtocol(3, 6);
+  Rng rng(3);
+  const NoiselessChannel channel;
+  RoundEngine engine(channel, rng, 3);
+  std::vector<BitString> transcripts = {BitString::FromString("10"),
+                                        BitString::FromString("01"),
+                                        BitString::FromString("00")};
+  std::vector<BitString> beeped(3, BitString::FromString("1"));
+  EXPECT_EQ(ExtendTranscripts(*protocol, engine, 1, 4, transcripts, &beeped),
+            -1);
+  EXPECT_EQ(engine.rounds_used(), 4);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(transcripts[i].size(), 6u);
+    ASSERT_EQ(beeped[i].size(), 5u);
+    EXPECT_TRUE(beeped[i][0]) << "the record is appended to";
+    for (int m = 0; m < 4; ++m) {
+      EXPECT_EQ(beeped[i][1 + m],
+                protocol->party(i).ChooseBeep(transcripts[i].Prefix(2 + m)))
+          << "party " << i << " round " << m;
+    }
+  }
+  EXPECT_EQ(beeped[0].ToString(), "10111");
+  EXPECT_EQ(beeped[1].ToString(), "11111");
+  EXPECT_EQ(transcripts[0].ToString(), "101111");
+}
+
+// One party never splits: its majority is the shared bit even on the
+// independent channel.  Its beep record matches its beep function.
+TEST(ExtendTranscripts, OnePartyNeverDiverges) {
+  Rng rng(4);
+  const std::unique_ptr<Protocol> protocol =
+      MakeRandomProtocol(SampleRandomProtocol(1, 40, 0.3, true, rng));
+  const IndependentNoisyChannel channel(0.3);
+  Rng expected_rng = rng;
+  RoundEngine expected_engine(channel, expected_rng, 1);
+  const ExecutionResult expected = Execute(*protocol, expected_engine, 3);
+
+  RoundEngine engine(channel, rng, 1);
+  std::vector<BitString> transcripts(1);
+  std::vector<BitString> beeped(1);
+  EXPECT_EQ(ExtendTranscripts(*protocol, engine, 3, 40, transcripts, &beeped),
+            -1);
+  EXPECT_EQ(expected.first_divergent_round, -1);
+  EXPECT_EQ(transcripts, expected.transcripts);
+  EXPECT_EQ(rng.SaveState(), expected_rng.SaveState());
+  for (int m = 0; m < 40; ++m) {
+    EXPECT_EQ(beeped[0][m],
+              protocol->party(0).ChooseBeep(transcripts[0].Prefix(m)));
+  }
+}
+
+// Zero rounds run nothing, whether the transcripts enter equal or not.
+TEST(ExtendTranscripts, ZeroRoundsChangeNothing) {
+  const std::unique_ptr<Protocol> protocol = EchoProtocol(2, 4);
+  Rng rng(5);
+  const CorrelatedNoisyChannel channel(0.1);
+  RoundEngine engine(channel, rng, 2);
+  const auto state = rng.SaveState();
+  for (const char* second : {"01", "10"}) {
+    std::vector<BitString> transcripts = {BitString::FromString("01"),
+                                          BitString::FromString(second)};
+    const std::vector<BitString> before = transcripts;
+    std::vector<BitString> beeped(2);
+    EXPECT_EQ(
+        ExtendTranscripts(*protocol, engine, 1, 0, transcripts, &beeped), -1);
+    EXPECT_EQ(transcripts, before);
+    EXPECT_TRUE(beeped[0].empty());
+    EXPECT_TRUE(beeped[1].empty());
+  }
+  EXPECT_EQ(engine.rounds_used(), 0);
+  EXPECT_EQ(rng.SaveState(), state);
+}
+
+TEST(ExtendTranscripts, ValidatesArguments) {
+  const std::unique_ptr<Protocol> protocol = EchoProtocol(2, 4);
+  Rng rng(6);
+  const NoiselessChannel channel;
+  RoundEngine engine(channel, rng, 2);
+  std::vector<BitString> one(1);
+  EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 1, one),
+               std::invalid_argument);
+  std::vector<BitString> two(2);
+  std::vector<BitString> beeped(3);
+  EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 1, two, &beeped),
+               std::invalid_argument);
+  EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 0, 1, two),
+               std::invalid_argument);
+  EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, -1, two),
+               std::invalid_argument);
+  EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 5, two),
+               std::invalid_argument);
+  std::vector<BitString> ragged = {BitString::FromString("0"), BitString()};
+  EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 1, ragged),
+               std::invalid_argument);
+  EXPECT_EQ(engine.rounds_used(), 0);
 }
 
 }  // namespace
