@@ -7,13 +7,13 @@
 namespace noisybeeps {
 
 ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
-                                  std::vector<BitString>& transcripts,
-                                  int start, int chunk_len, int rep_factor,
+                                  PerParty<BitString>& transcripts, int start,
+                                  int chunk_len, int rep_factor,
                                   const BeepCode* code, RoundEngine& engine) {
   NB_REQUIRE(start >= 0 && chunk_len >= 1 &&
                  start + chunk_len <= protocol.length(),
              "chunk out of protocol range");
-  for (const BitString& prefix : transcripts) {
+  for (const BitString& prefix : transcripts.stored()) {
     NB_REQUIRE(static_cast<int>(prefix.size()) == start,
                "committed prefixes must cover exactly the rounds before the "
                "chunk");
@@ -24,18 +24,17 @@ ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
   }
 
   // Phase 1: simulation by repetition, on Execute's loop from the
-  // committed prefixes; each party's candidate is its transcript's new
-  // tail.
+  // committed prefixes; the candidate is the transcripts' new tail, one
+  // while they are held once.
   ChunkAttempt attempt;
   attempt.beeped.assign(transcripts.size(), BitString());
   engine.SetPhase("chunk-sim");
   (void)ExtendTranscripts(protocol, engine, rep_factor, chunk_len,
                           transcripts, &attempt.beeped);
-  attempt.candidate.reserve(transcripts.size());
-  for (const BitString& transcript : transcripts) {
-    attempt.candidate.push_back(transcript.Substring(
-        static_cast<std::size_t>(start), transcript.size()));
-  }
+  attempt.candidate = transcripts.Map([start](const BitString& transcript) {
+    return transcript.Substring(static_cast<std::size_t>(start),
+                                transcript.size());
+  });
 
   // Phase 2: finding owners.
   if (code != nullptr) {
@@ -47,12 +46,11 @@ ChunkAttempt SimulateChunkInPlace(const Protocol& protocol,
 }
 
 ChunkAttempt SimulateChunk(const Protocol& protocol,
-                           const std::vector<BitString>& committed, int start,
+                           PerParty<BitString> committed, int start,
                            int chunk_len, int rep_factor, const BeepCode* code,
                            RoundEngine& engine) {
-  std::vector<BitString> working = committed;
-  return SimulateChunkInPlace(protocol, working, start, chunk_len, rep_factor,
-                              code, engine);
+  return SimulateChunkInPlace(protocol, committed, start, chunk_len,
+                              rep_factor, code, engine);
 }
 
 }  // namespace noisybeeps

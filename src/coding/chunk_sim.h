@@ -13,9 +13,9 @@
 // protocol records an owner for every 1 of the candidate chunk -- see
 // coding/owner_finding.h.
 //
-// The result is per-party: a candidate transcript extension, the bits the
-// party itself beeped, and the owner map.  Whether the candidate is
-// CORRECT is decided afterwards by the verification phase
+// The result: a candidate transcript extension and an owner map, each
+// held once while the parties agree, and the bits each party beeped.
+// Whether the candidate is CORRECT is decided afterwards by verification
 // (coding/verification.h); the rewind schemes stitch these pieces together.
 #ifndef NOISYBEEPS_CODING_CHUNK_SIM_H_
 #define NOISYBEEPS_CODING_CHUNK_SIM_H_
@@ -25,17 +25,18 @@
 #include "coding/beep_code.h"
 #include "protocol/protocol.h"
 #include "protocol/round_engine.h"
+#include "util/per_party.h"
 
 namespace noisybeeps {
 
 struct ChunkAttempt {
   // candidate[i]: the chunk bits party i decoded (its transcript extension).
-  std::vector<BitString> candidate;
+  PerParty<BitString> candidate;
   // beeped[i]: the bits party i itself beeped during the chunk.
   std::vector<BitString> beeped;
   // owners[i][m]: party i's owner record for chunk round m (-1 = none);
   // empty when the owner phase was skipped.
-  std::vector<std::vector<int>> owners;
+  PerParty<std::vector<int>> owners;
 };
 
 // Simulates rounds [start, start + chunk_len) of `protocol`, extending
@@ -46,12 +47,12 @@ struct ChunkAttempt {
 // When `code` is non-null the owner phase runs with that code
 // (code->chunk_len() must equal chunk_len).
 [[nodiscard]] ChunkAttempt SimulateChunkInPlace(
-    const Protocol& protocol, std::vector<BitString>& transcripts, int start,
+    const Protocol& protocol, PerParty<BitString>& transcripts, int start,
     int chunk_len, int rep_factor, const BeepCode* code, RoundEngine& engine);
 
-// SimulateChunkInPlace on a copy of `committed`, which stays unchanged.
+// SimulateChunkInPlace on a copy of `committed`.
 [[nodiscard]] ChunkAttempt SimulateChunk(const Protocol& protocol,
-                                         const std::vector<BitString>& committed,
+                                         PerParty<BitString> committed,
                                          int start, int chunk_len,
                                          int rep_factor, const BeepCode* code,
                                          RoundEngine& engine);

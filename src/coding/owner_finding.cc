@@ -85,7 +85,7 @@ void Transpose64(std::array<std::uint64_t, kBlock>& rows) {
 // decode's hint, which the received word certifies unless the channel
 // flipped close to half the code's minimum distance.
 OwnerFindingResult SharedOwners(RoundEngine& engine, const BeepCode& code,
-                                const std::vector<BitString>& pi_view,
+                                const PerParty<BitString>& pi_view,
                                 const std::vector<BitString>& beeped) {
   const auto n = static_cast<int>(engine.num_parties());
   const CodebookCode& book = code.codebook();
@@ -110,13 +110,13 @@ OwnerFindingResult SharedOwners(RoundEngine& engine, const BeepCode& code,
     engine.SharedWordRounds(book.CodewordWords(message), word_len, received);
     state.Apply(book.DecodeWords(received, message, &full_scans), code);
   }
-  return {std::vector<std::vector<int>>(n, state.owner), full_scans};
+  return {PerParty<std::vector<int>>(n, std::move(state.owner)), full_scans};
 }
 
 }  // namespace
 
 OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
-                              const std::vector<BitString>& pi_view,
+                              const PerParty<BitString>& pi_view,
                               const std::vector<BitString>& beeped) {
   const auto n = static_cast<int>(engine.num_parties());
   NB_REQUIRE(static_cast<int>(pi_view.size()) == n &&
@@ -217,8 +217,9 @@ OwnerFindingResult FindOwners(RoundEngine& engine, const BeepCode& code,
     }
   }
 
-  result.owners.reserve(n);
-  for (int i = 0; i < n; ++i) result.owners.push_back(std::move(state[i].owner));
+  std::vector<std::vector<int>> owners;
+  for (LocalState& party : state) owners.push_back(std::move(party.owner));
+  result.owners = std::move(owners);
   return result;
 }
 
@@ -232,7 +233,7 @@ bool OwnersValid(const OwnerFindingResult& result, const BitString& true_pi,
       return false;
     }
     if (!true_beeped[owner][m]) return false;
-    for (const auto& view : result.owners) {
+    for (const auto& view : result.owners.stored()) {
       if (view[m] != owner) return false;
     }
   }

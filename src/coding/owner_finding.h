@@ -21,10 +21,10 @@
 // So when the engine shares rounds (RoundEngine::shares_rounds), one state
 // stands for every party: the turn-holder alone speaks, from its own view
 // and beeps, its codeword is one RoundEngine::SharedWordRounds call, and
-// one decode serves all n parties.  It runs the same rounds and draws, and
-// returns the same owners, as the per-party path would on that engine.
-// Any other engine runs the per-party path: each party keeps its own state
-// and decodes the bits it received.
+// one decode and one owner map, held once, serve all n parties.  It runs
+// the same rounds and draws, and returns the same owners, as the per-party
+// path would on that engine.  Any other engine runs the per-party path:
+// each party keeps its own state and decodes the bits it received.
 //
 // Every decode is exact ML, but starts from a hint: the message the (first)
 // speaker sent.  When the received word lies within half the code's
@@ -39,13 +39,14 @@
 
 #include "coding/beep_code.h"
 #include "protocol/round_engine.h"
+#include "util/per_party.h"
 
 namespace noisybeeps {
 
 struct OwnerFindingResult {
   // owners[i][m]: party i's record of the owner of chunk round m
   // (-1 = no owner recorded).
-  std::vector<std::vector<int>> owners;
+  PerParty<std::vector<int>> owners;
   // Decodes that the hint did not certify, so that scanned the whole book:
   // a count of work, not part of the outcome.
   std::int64_t full_scans = 0;
@@ -55,8 +56,7 @@ struct OwnerFindingResult {
 // same length == code.chunk_len().
 [[nodiscard]] OwnerFindingResult FindOwners(
     RoundEngine& engine, const BeepCode& code,
-    const std::vector<BitString>& pi_view,
-    const std::vector<BitString>& beeped);
+    const PerParty<BitString>& pi_view, const std::vector<BitString>& beeped);
 
 // Checks Theorem D.1's postcondition against ground truth: every round m
 // of `true_pi` with value 1 has, at every party, a recorded owner o with

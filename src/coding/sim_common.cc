@@ -14,39 +14,44 @@ namespace {
 
 // Commits a chunk attempt whose candidate bits SimulateChunkInPlace already
 // appended to the transcripts: appends its recorded beeps and owners to
-// every party's state.  When the attempt has no owner phase, owners extend
-// with -1 (kDownOnly needs none).
+// every party's state, once while both hold one owner map.  When the
+// attempt has no owner phase, owners extend with -1 (kDownOnly needs none).
 void CommitAttempt(CommitState& state, const ChunkAttempt& attempt) {
   const int n = state.num_parties();
   NB_REQUIRE(static_cast<int>(attempt.beeped.size()) == n,
              "attempt party count mismatch");
   const std::size_t chunk_len = attempt.beeped.front().size();
-  for (int i = 0; i < n; ++i) {
-    state.beeped[i].Append(attempt.beeped[i]);
+  for (int i = 0; i < n; ++i) state.beeped[i].Append(attempt.beeped[i]);
+  const std::span<std::vector<int>> records =
+      attempt.owners.stored().size() > 1 ? state.owners.Split()
+                                         : state.owners.stored();
+  for (std::size_t s = 0; s < records.size(); ++s) {
     if (attempt.owners.empty()) {
-      state.owners[i].insert(state.owners[i].end(), chunk_len, -1);
+      records[s].resize(records[s].size() + chunk_len, -1);
     } else {
-      state.owners[i].insert(state.owners[i].end(), attempt.owners[i].begin(),
-                             attempt.owners[i].end());
+      records[s].insert(records[s].end(), attempt.owners[s].begin(),
+                        attempt.owners[s].end());
     }
   }
 }
 
-// Truncates every party's state to `len` rounds.  On a rewind only the
-// transcripts have grown past `len`; the beeps and owners are already that
-// long.
+// Truncates every party's state to `len` rounds, and holds what the
+// parties again agree on once.  On a rewind only the transcripts have grown
+// past `len`; the beeps and owners are already that long.
 void TruncateTo(CommitState& state, std::size_t len) {
-  for (int i = 0; i < state.num_parties(); ++i) {
-    NB_REQUIRE(len <= state.beeped[i].size(),
+  for (BitString& beeps : state.beeped) {
+    NB_REQUIRE(len <= beeps.size(),
                "verified prefix longer than committed transcript");
-    state.committed[i].Truncate(len);
-    state.beeped[i].Truncate(len);
-    state.owners[i].resize(len);
+    beeps.Truncate(len);
   }
+  for (BitString& t : state.committed.stored()) t.Truncate(len);
+  for (std::vector<int>& owners : state.owners.stored()) owners.resize(len);
+  state.committed.Rejoin();
+  state.owners.Rejoin();
 }
 
-// For scheduled (broadcast-like) protocols: fills every party's owner
-// records for chunk rounds [start, start + chunk_len) straight from the
+// For scheduled (broadcast-like) protocols: every party's owner records
+// for chunk rounds [start, start + chunk_len), held once, straight from the
 // pre-assigned schedule, in place of Algorithm 1's owner-finding phase.
 void InjectScheduleOwners(ChunkAttempt& attempt,
                           const std::vector<int>& schedule, int start) {
@@ -55,11 +60,9 @@ void InjectScheduleOwners(ChunkAttempt& attempt,
                  static_cast<std::size_t>(start) + chunk_len <=
                      schedule.size(),
              "chunk extends past the owner schedule");
-  attempt.owners.assign(attempt.candidate.size(), std::vector<int>());
-  for (auto& per_party : attempt.owners) {
-    per_party.assign(schedule.begin() + start,
-                     schedule.begin() + start + chunk_len);
-  }
+  attempt.owners.assign(attempt.candidate.size(),
+                        std::vector<int>(schedule.begin() + start,
+                                         schedule.begin() + start + chunk_len));
 }
 
 // Validates a schedule against a protocol: size == length, owners in
@@ -91,19 +94,21 @@ void RequireValidSchedule(const Protocol& protocol,
 std::size_t Audit(CommitState& state, RoundEngine& engine,
                   const RewindSimOptions& options, int flag_reps,
                   DivergenceTracker& tracker) {
-  const std::size_t len = state.committed.front().size();
+  // Read through a const view: a non-const PerParty's operator[] splits.
+  const CommitState& view = state;
+  const std::size_t len = view.committed.front().size();
   if (len == 0) return 0;
-  const int n = state.num_parties();
+  const int n = view.num_parties();
   std::vector<std::size_t> first_violation(n);
   for (int i = 0; i < n; ++i) {
     first_violation[i] =
-        FirstViolationFromBeeps(i, state.beeped[i], state.committed[i],
-                                state.owners[i], options.regime);
+        FirstViolationFromBeeps(i, view.beeped[i], view.committed[i],
+                                view.owners[i], options.regime);
   }
   engine.SetPhase("audit");
   const std::vector<std::size_t> verified = BinarySearchVerifiedPrefix(
       engine, first_violation, len, flag_reps, options.flag_rule);
-  tracker.Observe(verified, "audit", engine.rounds_used());
+  tracker.Observe<std::size_t>(verified, "audit", engine.rounds_used());
   // All parties truncate to the SAME length (party 0's verified prefix):
   // the orchestration keeps per-party transcript lengths equal, and under
   // a correlated channel the verified lengths coincide anyway.  A party
@@ -175,12 +180,14 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
     const int chunk_len = std::min(base_chunk, T - start);
     const BeepCode* code =
         find_owners ? &scheme.OwnerCode(chunk_len) : nullptr;
-    ChunkAttempt attempt =
+    ChunkAttempt simulated =
         SimulateChunkInPlace(protocol, state.committed, start, chunk_len,
                              rep_factor, code, engine);
     if (options.scheduled()) {
-      InjectScheduleOwners(attempt, options.owner_schedule, start);
+      InjectScheduleOwners(simulated, options.owner_schedule, start);
     }
+    // Read through a const view: a non-const PerParty's operator[] splits.
+    const ChunkAttempt& attempt = simulated;
     tracker.Observe(attempt.candidate, "chunk-sim", engine.rounds_used());
     if (code != nullptr) {
       tracker.Observe(attempt.owners, "owner-finding", engine.rounds_used());
@@ -227,13 +234,15 @@ SimulationResult RunChunkLoop(const Protocol& protocol, const Channel& channel,
   SimulationResult result;
   result.transcripts = std::move(state.committed);
   result.owners = std::move(state.owners);
+  // On budget exhaustion the committed transcript may be short; pad with
+  // zeros so output functions see a full-length transcript.
+  const PerParty<BitString> padded = result.transcripts.Map([T](BitString pi) {
+    pi.Resize(static_cast<std::size_t>(T));
+    return pi;
+  });
   result.outputs.reserve(n);
   for (int i = 0; i < n; ++i) {
-    // On budget exhaustion the committed transcript may be short; pad with
-    // zeros so output functions see a full-length transcript.
-    BitString pi = result.transcripts[i];
-    while (static_cast<int>(pi.size()) < T) pi.PushBack(false);
-    result.outputs.push_back(protocol.party(i).ComputeOutput(pi));
+    result.outputs.push_back(protocol.party(i).ComputeOutput(padded[i]));
   }
   result.noisy_rounds_used = engine.rounds_used();
   result.phase_rounds = engine.phase_rounds();

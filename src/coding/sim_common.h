@@ -4,10 +4,10 @@
 // CommitState is the per-party progress of a chunked simulation: each
 // party's committed reconstruction of the noiseless transcript, the bits it
 // beeped in those rounds, and its owner records.  Under a correlated
-// channel all per-party entries stay identical (every decision below is a
-// deterministic function of shared received bits); under the independent
-// channel they may diverge, which surfaces as a simulation failure in the
-// caller's success metric.
+// channel the transcripts and owners stay identical and are held once
+// (every decision below is a deterministic function of shared bits);
+// under the independent channel they may diverge, which surfaces as a
+// simulation failure in the caller's success metric.
 //
 // Control-flow synchronization: commit/rewind decisions are taken from
 // party 0's decoded verdict.  Under correlated noise this is exactly the
@@ -28,6 +28,7 @@
 #include "coding/simulator.h"
 #include "coding/verification.h"
 #include "protocol/protocol.h"
+#include "util/per_party.h"
 
 namespace noisybeeps::internal {
 
@@ -39,19 +40,13 @@ namespace noisybeeps::internal {
 // cost is one branch.
 class DivergenceTracker {
  public:
-  // Observes one per-party vector of values that SHOULD agree across
-  // parties.  `phase` labels the phase that produced them; `round` is the
-  // engine's rounds_used() at the observation.
+  // Observes per-party values that SHOULD agree across parties (one stored
+  // value is agreement).  `phase` labels the phase that produced them;
+  // `round` is the engine's rounds_used() at the observation.
   template <typename T>
-  void Observe(const std::vector<T>& per_party, const char* phase,
+  void Observe(const PerParty<T>& per_party, const char* phase,
                std::int64_t round) {
-    if (diverged_) return;
-    for (std::size_t i = 1; i < per_party.size(); ++i) {
-      if (!(per_party[i] == per_party[0])) {
-        Record(phase, round);
-        return;
-      }
-    }
+    if (!diverged_ && !per_party.AllEqual()) Record(phase, round);
   }
 
   // Observes one bit per party, packed 64 per word (bit i of the words is
@@ -93,9 +88,9 @@ class DivergenceTracker {
 // `beeped` and `owners` together, so verification and audits read the
 // recorded beeps instead of replaying the beep function.
 struct CommitState {
-  std::vector<BitString> committed;        // per-party transcripts
+  PerParty<BitString> committed;           // per-party transcripts
   std::vector<BitString> beeped;           // per-party recorded beeps
-  std::vector<std::vector<int>> owners;    // per-party owner records
+  PerParty<std::vector<int>> owners;       // per-party owner records
 
   explicit CommitState(int num_parties)
       : committed(num_parties), beeped(num_parties), owners(num_parties) {}

@@ -42,36 +42,41 @@ std::string SimulationStatusName(SimulationStatus status) {
   return "unknown";
 }
 
-SimulationVerdict ComputeVerdict(const std::vector<BitString>& transcripts,
+SimulationVerdict ComputeVerdict(const PerParty<BitString>& transcripts,
                                  int full_length, bool budget_exhausted) {
   NB_REQUIRE(!transcripts.empty(), "need at least one transcript");
   const int n = static_cast<int>(transcripts.size());
-
+  // Sorted by transcript, the stored values that agree form runs.  Stored
+  // value k stands for parties [k * weight, (k + 1) * weight): all n while
+  // the transcript is held once.  The first largest run holds the
+  // lexicographically least of the plurality transcripts, the tie-break.
+  const std::span<const BitString> stored = transcripts.stored();
+  const int count = static_cast<int>(stored.size());
+  const int weight = n / count;
   SimulationVerdict verdict;
   verdict.budget_exhausted = budget_exhausted;
   verdict.agreement.assign(n, 0);
-  // Sorted by transcript, the parties that agree form runs: O(n log n)
-  // word-wise compares.  The first largest run holds the lexicographically
-  // least of the plurality transcripts, which is the tie-break.
-  std::vector<int> order(n);
+  std::vector<int> order(count);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&transcripts](int a, int b) {
-    return BitsLess(transcripts[a], transcripts[b]);
+  std::sort(order.begin(), order.end(), [&stored](int a, int b) {
+    return BitsLess(stored[a], stored[b]);
   });
   int best = order[0];
-  for (int begin = 0; begin < n;) {
-    const BitString& group = transcripts[order[begin]];
+  for (int begin = 0; begin < count;) {
+    const BitString& group = stored[order[begin]];
     int end = begin + 1;
-    while (end < n && transcripts[order[end]] == group) ++end;
-    const int size = end - begin;
-    for (int k = begin; k < end; ++k) verdict.agreement[order[k]] = size;
+    while (end < count && stored[order[end]] == group) ++end;
+    const int size = (end - begin) * weight;
+    for (int k = begin; k < end; ++k) {
+      std::fill_n(verdict.agreement.begin() + order[k] * weight, weight, size);
+    }
     if (size > verdict.majority_size) {
       verdict.majority_size = size;
       best = order[begin];
     }
     begin = end;
   }
-  verdict.majority_transcript = transcripts[best];
+  verdict.majority_transcript = stored[best];
 
   if (!budget_exhausted && verdict.majority_size == n &&
       static_cast<int>(verdict.majority_transcript.size()) == full_length) {

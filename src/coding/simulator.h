@@ -31,6 +31,7 @@
 #include "channel/channel.h"
 #include "fault/fault_plan.h"
 #include "protocol/protocol.h"
+#include "util/per_party.h"
 
 namespace noisybeeps {
 
@@ -75,18 +76,18 @@ struct SimulationVerdict {
 // The divergence fields are left untouched; simulators record those
 // in-flight.  Precondition: transcripts is non-empty.
 [[nodiscard]] SimulationVerdict ComputeVerdict(
-    const std::vector<BitString>& transcripts, int full_length,
+    const PerParty<BitString>& transcripts, int full_length,
     bool budget_exhausted);
 
 struct SimulationResult {
   // Party i's reconstruction of the noiseless transcript of Pi.  Under a
   // correlated channel all reconstructions coincide unless the simulation
-  // failed.
-  std::vector<BitString> transcripts;
+  // failed, and the one transcript is held once.
+  PerParty<BitString> transcripts;
   // Party i's view of the owner of each transcript round (-1 = no owner
-  // recorded).  Only chunk-based simulators populate owners; for others
-  // the vectors are empty.
-  std::vector<std::vector<int>> owners;
+  // recorded), held once while the parties agree; none for simulators
+  // without chunks.
+  PerParty<std::vector<int>> owners;
   // g^i evaluated on party i's reconstructed transcript.
   std::vector<PartyOutput> outputs;
   // Rounds consumed on the noisy channel -- the quantity the theorems
@@ -108,7 +109,7 @@ struct SimulationResult {
 
   // True iff every party reconstructed exactly `reference`.
   [[nodiscard]] bool AllMatch(const BitString& reference) const {
-    for (const BitString& t : transcripts) {
+    for (const BitString& t : transcripts.stored()) {
       if (t != reference) return false;
     }
     return true;

@@ -9,15 +9,14 @@
 // transcript back into its own broadcast functions.
 //
 // One loop, one transcript until the parties diverge: ExtendTranscripts
-// runs protocol rounds from the parties' current transcripts.  While every
-// transcript is equal and every party has received the same bits, it grows
-// only the first, and one Protocol::BeepWords call gives every party's beep
+// runs protocol rounds from the parties' current transcripts, a PerParty
+// (util/per_party.h).  While it holds one transcript for every party, it
+// grows that one, and one Protocol::BeepWords call gives every party's beep
 // for it.  At the first round whose delivered bits are not all equal (or
-// at once, if the transcripts enter unequal), the other parties take a
-// copy of the first transcript, and from then on each party decides from
-// its own by ChooseBeep.  Party purity makes the two phases the same
-// execution: rounds, rng draws and results do not depend on where the
-// switch happens.
+// at once, if the transcripts enter split), each party appends its own
+// bit to its own copy and from then on decides from it by ChooseBeep.
+// Party purity makes the two phases the same execution: rounds, rng draws
+// and results do not depend on where the switch happens.
 //
 // Each protocol round is one RoundEngine::RepeatRound of its beeps: one
 // noisy round by default, or `reps` majority-decoded repetitions.  Execute
@@ -33,13 +32,14 @@
 #include "channel/channel.h"
 #include "protocol/protocol.h"
 #include "protocol/round_engine.h"
+#include "util/per_party.h"
 
 namespace noisybeeps {
 
 struct ExecutionResult {
   // Per-party transcripts.  Under a correlated channel these are all
   // identical; `shared()` returns the common one.
-  std::vector<BitString> transcripts;
+  PerParty<BitString> transcripts;
   // g^i evaluated on party i's transcript.
   std::vector<PartyOutput> outputs;
   // The first protocol round whose delivered bits differed between
@@ -55,15 +55,15 @@ struct ExecutionResult {
 // decoded in each.  When `beeped` is non-null, appends to (*beeped)[i] the
 // bit party i beeped in each round.  Returns the round, counted from the
 // protocol's start, whose delivered bits differed while the transcripts
-// were all equal, or -1 if there was none in this call (which includes a
-// call entered with unequal transcripts).
+// were held once, or -1 if there was none in this call (which includes a
+// call entered with split transcripts).
 // Preconditions: engine.num_parties() == protocol.num_parties() ==
 // transcripts.size() (== beeped->size()), reps >= 1, rounds >= 0, every
 // transcript has the same length, and that length plus `rounds` is at most
 // protocol.length().
 [[nodiscard]] int ExtendTranscripts(const Protocol& protocol,
                                     RoundEngine& engine, int reps, int rounds,
-                                    std::vector<BitString>& transcripts,
+                                    PerParty<BitString>& transcripts,
                                     std::vector<BitString>* beeped = nullptr);
 
 // Runs `protocol` for its full length, one engine.RepeatRound of `reps`

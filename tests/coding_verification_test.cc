@@ -319,7 +319,7 @@ TEST(RecordedBeeps, EqualTheBeepFunctionOnTheCandidatePrefix) {
       RoundEngine in_place_engine(channel, in_place_rng, kParties);
       const ChunkAttempt copied = SimulateChunk(
           *protocol, committed, start, chunk_len, 1, nullptr, copy_engine);
-      std::vector<BitString> transcripts = committed;
+      PerParty<BitString> transcripts = committed;
       const ChunkAttempt attempt =
           SimulateChunkInPlace(*protocol, transcripts, start, chunk_len, 1,
                                nullptr, in_place_engine);

@@ -38,9 +38,11 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/beep_code.h"
+#include "coding/chunk_sim.h"
 #include "coding/hierarchical_sim.h"
 #include "coding/owner_finding.h"
 #include "coding/repetition_sim.h"
@@ -192,7 +194,29 @@ TEST_P(ChooseBeepCount, OnlyChunkSimulationCallsTheBeepFunction) {
             c.n * chunk_rounds / rep_factor);
   if (!c.faults) {
     EXPECT_EQ(protocol.calls(), 0);
+    // One state: the parties' transcript and owner records are held once
+    // from the first chunk to the result.
+    EXPECT_EQ(result.transcripts.stored().size(), 1u);
+    EXPECT_EQ(result.owners.stored().size(), 1u);
+    return;
   }
+  // The faulted runs split their transcripts, and a rewind or an audit
+  // that cuts back past the split makes them equal again.  The pinned
+  // counts hold only if such a transcript is held once again, so that the
+  // next chunk asks BeepWords rather than every party.
+  const std::map<std::string, std::pair<std::int64_t, std::int64_t>>
+      pinned = {
+          {"rewind_input_set_n65_faults", {3'445, 142}},
+          {"rewind_random_n8_faults", {376, 9}},
+          {"rewind_down_input_set_n65_faults", {24'765, 137}},
+          {"rewind_down_random_n8_faults", {0, 104}},
+          {"hierarchical_input_set_n65_faults", {3'445, 142}},
+          {"hierarchical_random_n8_faults", {56, 77}},
+          {"hierarchical_down_input_set_n65_faults", {13'390, 1'408}},
+          {"hierarchical_down_random_n8_faults", {1'688, 1'301}},
+      };
+  EXPECT_EQ(protocol.calls(), pinned.at(c.name).first);
+  EXPECT_EQ(protocol.beep_words_calls(), pinned.at(c.name).second);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -249,6 +273,7 @@ TEST_P(SharedTranscriptCount, PartiesAreAskedOnlyAfterTheyDiverge) {
   const FaultPlan faults =
       c.faults ? FaultPlan::Parse("sleepy:2@20-600", 11) : FaultPlan();
   int divergent_round = -1;
+  std::size_t stored = 0;
   if (c.simulator) {
     const RepetitionSimulator sim;
     const SimulationResult result =
@@ -259,9 +284,11 @@ TEST_P(SharedTranscriptCount, PartiesAreAskedOnlyAfterTheyDiverge) {
       divergent_round =
           static_cast<int>(result.verdict.first_divergence_round / reps) - 1;
     }
+    stored = result.transcripts.stored().size();
   } else {
-    divergent_round =
-        Execute(protocol, *channel, faults, rng).first_divergent_round;
+    const ExecutionResult run = Execute(protocol, *channel, faults, rng);
+    divergent_round = run.first_divergent_round;
+    stored = run.transcripts.stored().size();
   }
 
   const std::int64_t n = c.n;
@@ -270,8 +297,10 @@ TEST_P(SharedTranscriptCount, PartiesAreAskedOnlyAfterTheyDiverge) {
     EXPECT_EQ(divergent_round, -1);
     EXPECT_EQ(protocol.calls(), 0);
     EXPECT_EQ(protocol.beep_words_calls(), length);
+    EXPECT_EQ(stored, 1u) << "one transcript for every party";
     return;
   }
+  EXPECT_EQ(stored, static_cast<std::size_t>(c.n)) << "split at divergence";
   ASSERT_GE(divergent_round, 0);
   ASSERT_LT(divergent_round, length / 2);
   EXPECT_EQ(protocol.beep_words_calls(), divergent_round + 1);
@@ -353,6 +382,10 @@ TEST_P(RepetitionRoundCount, SharedRoundsSkipTheWordPath) {
   // through RoundWords.
   EXPECT_EQ(engine.shares_rounds(), !independent);
   EXPECT_EQ(engine.round_words_calls(), independent ? rounds : 0);
+  // Shared rounds or not, parties that never diverge hold one transcript
+  // (at e2's shape, one for 1,024 parties).
+  EXPECT_EQ(run.first_divergent_round, -1);
+  EXPECT_EQ(run.transcripts.stored().size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -364,6 +397,63 @@ INSTANTIATE_TEST_SUITE_P(
         // 130 protocol rounds of 29 repetitions.
         EngineCase{"independent_n65", "independent", 65, 3'770}),
     [](const ::testing::TestParamInfo<EngineCase>& case_info) {
+      return case_info.param.name;
+    });
+
+// One state at e1_rewind_correlated's and e3_downonly's shapes: on a
+// sharing engine without a fault plan, a chunk attempt's candidate and
+// owners are held once (one Substring and one owner map for all n
+// parties), and so are the committed state's and the result's.
+struct ShapeCase {
+  std::string name;
+  const char* sim;
+  const char* channel;
+  int n;
+};
+
+std::ostream& operator<<(std::ostream& os, const ShapeCase& c) {
+  return os << c.name;
+}
+
+class OneState : public ::testing::TestWithParam<ShapeCase> {};
+
+TEST_P(OneState, HeldOnceFromTheChunkToTheResult) {
+  const ShapeCase& c = GetParam();
+  Rng rng(7);
+  const service::Workload workload =
+      service::MakeWorkload("input_set", c.n, rng);
+  const std::unique_ptr<Channel> channel =
+      service::MakeChannel(c.channel, 0.05);
+  const std::unique_ptr<Simulator> sim =
+      service::MakeSimulator(c.sim, "input_set", c.n);
+  const auto& scheme = dynamic_cast<const RewindSimulator&>(*sim);
+  const bool two_sided = scheme.options().regime == NoiseRegime::kTwoSided;
+  const int chunk_len = scheme.EffectiveChunkLen(c.n);
+
+  RoundEngine engine(*channel, rng, c.n);
+  ASSERT_TRUE(engine.shares_rounds());
+  const ChunkAttempt attempt = SimulateChunk(
+      *workload.protocol, PerParty<BitString>(static_cast<std::size_t>(c.n)),
+      0, chunk_len, scheme.EffectiveRepFactor(c.n),
+      two_sided ? &scheme.OwnerCode(chunk_len) : nullptr, engine);
+  ASSERT_EQ(attempt.candidate.size(), static_cast<std::size_t>(c.n));
+  EXPECT_EQ(attempt.candidate.stored().size(), 1u);
+  EXPECT_EQ(attempt.owners.stored().size(), two_sided ? 1u : 0u);
+
+  const SimulationResult result =
+      sim->Simulate(*workload.protocol, *channel, rng);
+  ASSERT_TRUE(result.verdict.ok());
+  EXPECT_EQ(result.transcripts.stored().size(), 1u);
+  EXPECT_EQ(result.owners.stored().size(), 1u);
+  EXPECT_EQ(result.owners.size(), static_cast<std::size_t>(c.n));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, OneState,
+    ::testing::Values(
+        ShapeCase{"e1_rewind_correlated", "rewind", "correlated", 128},
+        ShapeCase{"e3_downonly", "rewind_down", "down", 256}),
+    [](const ::testing::TestParamInfo<ShapeCase>& case_info) {
       return case_info.param.name;
     });
 

@@ -268,7 +268,7 @@ TEST_P(ExtendTranscriptsSeams, SplitCallsAreOneExecute) {
       Execute(*protocol, expected_engine, c.reps);
 
   FaultyRoundEngine engine(*channel, rng, n, plan);
-  std::vector<BitString> transcripts(static_cast<std::size_t>(n));
+  PerParty<BitString> transcripts(static_cast<std::size_t>(n));
   std::vector<int> divergent_rounds;
   for (const int rounds : {1, 7, length - 8}) {
     divergent_rounds.push_back(
@@ -324,7 +324,7 @@ std::unique_ptr<Protocol> EchoProtocol(int n, int length) {
   return std::make_unique<BasicProtocol>(std::move(parties), length);
 }
 
-// Entered with unequal transcripts, every party decides on its own prefix
+// Entered with split transcripts, every party decides on its own prefix
 // from the first round: party 1 echoes its own last bit, 1, where party
 // 0's transcript would have it beep 0.
 TEST(ExtendTranscripts, UnequalTranscriptsDecideOnTheirOwnPrefixes) {
@@ -332,9 +332,9 @@ TEST(ExtendTranscripts, UnequalTranscriptsDecideOnTheirOwnPrefixes) {
   Rng rng(3);
   const NoiselessChannel channel;
   RoundEngine engine(channel, rng, 3);
-  std::vector<BitString> transcripts = {BitString::FromString("10"),
-                                        BitString::FromString("01"),
-                                        BitString::FromString("00")};
+  PerParty<BitString> transcripts = {BitString::FromString("10"),
+                                     BitString::FromString("01"),
+                                     BitString::FromString("00")};
   std::vector<BitString> beeped(3, BitString::FromString("1"));
   EXPECT_EQ(ExtendTranscripts(*protocol, engine, 1, 4, transcripts, &beeped),
             -1);
@@ -366,7 +366,7 @@ TEST(ExtendTranscripts, OnePartyNeverDiverges) {
   const ExecutionResult expected = Execute(*protocol, expected_engine, 3);
 
   RoundEngine engine(channel, rng, 1);
-  std::vector<BitString> transcripts(1);
+  PerParty<BitString> transcripts(1);
   std::vector<BitString> beeped(1);
   EXPECT_EQ(ExtendTranscripts(*protocol, engine, 3, 40, transcripts, &beeped),
             -1);
@@ -387,9 +387,9 @@ TEST(ExtendTranscripts, ZeroRoundsChangeNothing) {
   RoundEngine engine(channel, rng, 2);
   const auto state = rng.SaveState();
   for (const char* second : {"01", "10"}) {
-    std::vector<BitString> transcripts = {BitString::FromString("01"),
-                                          BitString::FromString(second)};
-    const std::vector<BitString> before = transcripts;
+    PerParty<BitString> transcripts = {BitString::FromString("01"),
+                                       BitString::FromString(second)};
+    const PerParty<BitString> before = transcripts;
     std::vector<BitString> beeped(2);
     EXPECT_EQ(
         ExtendTranscripts(*protocol, engine, 1, 0, transcripts, &beeped), -1);
@@ -406,10 +406,10 @@ TEST(ExtendTranscripts, ValidatesArguments) {
   Rng rng(6);
   const NoiselessChannel channel;
   RoundEngine engine(channel, rng, 2);
-  std::vector<BitString> one(1);
+  PerParty<BitString> one(1);
   EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 1, one),
                std::invalid_argument);
-  std::vector<BitString> two(2);
+  PerParty<BitString> two(2);
   std::vector<BitString> beeped(3);
   EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 1, two, &beeped),
                std::invalid_argument);
@@ -419,7 +419,7 @@ TEST(ExtendTranscripts, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 5, two),
                std::invalid_argument);
-  std::vector<BitString> ragged = {BitString::FromString("0"), BitString()};
+  PerParty<BitString> ragged = {BitString::FromString("0"), BitString()};
   EXPECT_THROW((void)ExtendTranscripts(*protocol, engine, 1, 1, ragged),
                std::invalid_argument);
   EXPECT_EQ(engine.rounds_used(), 0);
